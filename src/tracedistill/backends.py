@@ -217,10 +217,6 @@ class MockBackend(Backend):
         self._transient_left = int(transient_failures)
         self._lock = threading.Lock()
 
-    @property
-    def total_calls(self):
-        return sum(self.calls.values())
-
     @contextmanager
     def _track(self, op):
         with self._lock:

@@ -1,42 +1,44 @@
 """Three-agent inference cascade: Parser, Decomposer, Verifier.
 
 One retrieval pass per instance feeds all four stages; the rendered
-demonstration block is byte-identical across them. Stages run strictly in
-order, each consuming the previous stage's output:
+demonstration block (`prompts.demo_pairs_full`) is byte-identical across
+them. Stages run strictly in order, each consuming the previous stage's
+output:
 
     conditions  = Parser(question)
     statements  = Decomposer(question, cot)
     evidence    = Verifier(question, statements)          # evidence pass
     verdicts    = Verifier(question, statements, evidence)  # verify pass
 
-Stage failures are recorded and flagged rather than fatal; downstream
-stages continue on best-effort inputs so a batch always yields aligned,
-schema-valid predictions.
+Every stage goes through `run_stage`: render the prompt, generate, extract
+the JSON array. The Parser and Decomposer reprompt once when they get no
+non-empty array of strings, and the evidence pass reprompts once when its
+array does not have one entry per statement; the verify pass never
+reprompts. A retry that parses replaces the first answer, even when it is
+an empty array; the first answer stands only when the retry does not
+parse. Stage failures are recorded and flagged rather than fatal;
+downstream stages continue on best-effort inputs so a batch always yields
+aligned, schema-valid predictions.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import prompts
-from .backends import GenParams
+from .backends import ChatMessage, GenParams
 from .corpus import (
     SchemaError,
     canonicalize_verification,
-    format_question,
     instance_to_json,
     save_jsonl,
-    trace_to_json,
     verification_str,
 )
+from .prompts import demo_pairs_full
 from .retrieval import top_k
-from .synthesis import PromptBundle, extract_json
-
-log = logging.getLogger(__name__)
+from .synthesis import extract_json
 
 PARSER = "parser"
 DECOMPOSER = "decomposer"
@@ -57,7 +59,6 @@ class CascadeError(Exception):
 class AgentBinding:
     agent: str
     backend: object
-    template_id: str = "default"
 
     def __post_init__(self):
         if self.agent not in AGENTS:
@@ -88,104 +89,65 @@ class CascadeOutput:
     flags: list[str] = field(default_factory=list)
 
 
-def demo_pairs_full(hits, seed_by_id):
-    """Full example cards shared verbatim by every stage prompt."""
-    pairs = []
-    for hit in hits:
-        example = seed_by_id[hit.id]
-        inst = example.instance
-        head = f"Question:\n{format_question(inst)}"
-        body = [
-            prompts.OUTPUT_HEADERS["QP"],
-            json.dumps(example.question_parsing, ensure_ascii=False, indent=2),
-        ]
-        if inst.cot:
-            body += ["", "CoT:", inst.cot]
-        body += [
-            "",
-            "CoT Steps:",
-            json.dumps(trace_to_json(example.trace), ensure_ascii=False, indent=2),
-        ]
-        pairs.append((head, "\n".join(body)))
-    return pairs
+def run_stage(subtask, instruction, query, demos, binding, params, problem=None):
+    """Render one stage's prompt, generate, and extract its JSON array.
+
+    Returns (array or None, StageResult). When `problem(array)` names a
+    defect, the prompt is sent once more with REPROMPT_SUFFIX and the output
+    header appended; a retry that parses replaces the first answer. The
+    stage is marked failed when no answer parsed; callers may tighten that.
+    """
+    stage = StageResult(started=time.monotonic())
+    stage.prompt = prompts.render(subtask, instruction, demos, query)
+    text = stage.prompt
+    value = None
+    for attempt in range(2):
+        raw = binding.backend.generate([ChatMessage(role="user", content=text)], params)
+        stage.raw.append(raw)
+        found = extract_json(raw)
+        if found is not None and isinstance(found[0], list):
+            value = found[0]
+        defect = problem(value) if problem is not None and attempt == 0 else None
+        if not defect:
+            break
+        header = prompts.OUTPUT_HEADERS[subtask]
+        text = "\n".join([stage.prompt, "", REPROMPT_SUFFIX.format(problem=defect), header])
+    stage.failed = value is None
+    stage.finished = time.monotonic()
+    return value, stage
 
 
-def _generate(binding, bundle, params, reprompt_problem=None):
-    """One generation, optionally with a corrective reprompt appended."""
-    text = bundle.render_text()
-    if reprompt_problem:
-        header = text.rsplit("\n", 1)[-1]
-        text = "\n".join(
-            [text, "", REPROMPT_SUFFIX.format(problem=reprompt_problem), header]
-        )
-    from .backends import ChatMessage
-
-    return text, binding.backend.generate([ChatMessage(role="user", content=text)], params)
-
-
-def _string_list(raw):
-    found = extract_json(raw)
-    if found is None:
-        return None
-    value = found[0]
+def _strings(value):
+    """The non-blank entries of a JSON array of strings; [] for anything else."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        return None
+        return []
     return [v for v in value if v.strip()]
+
+
+def _no_strings(value):
+    return None if _strings(value) else "no non-empty JSON array of strings found"
+
+
+def _string_stage(subtask, instruction, query, demos, binding, params):
+    value, stage = run_stage(subtask, instruction, query, demos, binding, params, _no_strings)
+    items = _strings(value)
+    stage.failed = not items
+    return items, stage
 
 
 def parse_question(instance, demos, binding, params):
     """Stage 1: extract the condition list; one reprompt, then a flagged
     empty list."""
-    bundle = PromptBundle(
-        subtask="QP",
-        system_instruction=prompts.QP_INSTRUCTION,
-        demonstrations=demos,
-        query=f"Question:\n{format_question(instance)}",
-    )
-    stage = StageResult(started=time.monotonic())
-    prompt, raw = _generate(binding, bundle, params)
-    stage.prompt = prompt
-    stage.raw.append(raw)
-    conditions = _string_list(raw)
-    if not conditions:
-        _, raw = _generate(
-            binding, bundle, params, reprompt_problem="no non-empty JSON array of strings found"
-        )
-        stage.raw.append(raw)
-        conditions = _string_list(raw)
-    if not conditions:
-        stage.failed = True
-        conditions = []
-    stage.finished = time.monotonic()
-    return conditions, stage
+    query = prompts.question_block(instance)
+    return _string_stage("QP", prompts.QP_INSTRUCTION, query, demos, binding, params)
 
 
 def decompose_cot(instance, demos, binding, params):
     """Stage 2: split the chain of thought into ordered statements."""
     if not instance.cot or not instance.cot.strip():
         raise CascadeError(f"instance {instance.id!r} carries no CoT text to decompose")
-    bundle = PromptBundle(
-        subtask="CP",
-        system_instruction=prompts.CP_INSTRUCTION,
-        demonstrations=demos,
-        query=f"Question:\n{format_question(instance)}\n\nCoT:\n{instance.cot}",
-    )
-    stage = StageResult(started=time.monotonic())
-    prompt, raw = _generate(binding, bundle, params)
-    stage.prompt = prompt
-    stage.raw.append(raw)
-    statements = _string_list(raw)
-    if not statements:
-        _, raw = _generate(
-            binding, bundle, params, reprompt_problem="no non-empty JSON array of strings found"
-        )
-        stage.raw.append(raw)
-        statements = _string_list(raw)
-    if not statements:
-        stage.failed = True
-        statements = []
-    stage.finished = time.monotonic()
-    return statements, stage
+    query = prompts.question_block(instance, cot=True)
+    return _string_stage("CP", prompts.CP_INSTRUCTION, query, demos, binding, params)
 
 
 def extract_evidence(instance, statements, demos, binding, params):
@@ -196,40 +158,20 @@ def extract_evidence(instance, statements, demos, binding, params):
     """
     if not statements:
         raise CascadeError("extract_evidence requires at least one statement")
-    query = (
-        f"Question:\n{format_question(instance)}\n\n"
-        f"Statements:\n{json.dumps(statements, ensure_ascii=False, indent=2)}"
+
+    def problem(value):
+        if value is not None and len(value) == len(statements):
+            return None
+        got = "nothing parseable" if value is None else f"{len(value)} entries"
+        return f"expected exactly {len(statements)} evidence strings, got {got}"
+
+    query = prompts.verifier_query(instance, statements)
+    value, stage = run_stage(
+        "CV_evidence", prompts.CV_EVIDENCE_INSTRUCTION, query, demos, binding, params, problem
     )
-    bundle = PromptBundle(
-        subtask="CV_evidence",
-        system_instruction=prompts.CV_EVIDENCE_INSTRUCTION,
-        demonstrations=demos,
-        query=query,
-    )
-    stage = StageResult(started=time.monotonic())
-    flags = []
-    prompt, raw = _generate(binding, bundle, params)
-    stage.prompt = prompt
-    stage.raw.append(raw)
-    found = extract_json(raw)
-    evidence = found[0] if found and isinstance(found[0], list) else None
-    if evidence is None or len(evidence) != len(statements):
-        got = "nothing parseable" if evidence is None else f"{len(evidence)} entries"
-        _, raw = _generate(
-            binding, bundle, params,
-            reprompt_problem=f"expected exactly {len(statements)} evidence strings, got {got}",
-        )
-        stage.raw.append(raw)
-        found = extract_json(raw)
-        evidence = found[0] if found and isinstance(found[0], list) else evidence
-    if evidence is None:
-        evidence = []
-        stage.failed = True
-    evidence = [str(e) for e in evidence[: len(statements)]]
-    for slot in range(len(evidence), len(statements)):
-        flags.append(f"evidence_missing:{slot + 1}")
-        evidence.append("")
-    stage.finished = time.monotonic()
+    evidence = [str(e) for e in (value or [])[: len(statements)]]
+    flags = [f"evidence_missing:{slot + 1}" for slot in range(len(evidence), len(statements))]
+    evidence += [""] * len(flags)
     return evidence, stage, flags
 
 
@@ -244,25 +186,12 @@ def verify_steps(instance, statements, evidence, demos, binding, params):
         stage = StageResult(started=time.monotonic())
         stage.finished = stage.started
         return [], stage, []
-    query = (
-        f"Question:\n{format_question(instance)}\n\n"
-        f"Statements:\n{json.dumps(statements, ensure_ascii=False, indent=2)}\n\n"
-        f"Evidence:\n{json.dumps(evidence, ensure_ascii=False, indent=2)}"
+    query = prompts.verifier_query(instance, statements, evidence)
+    values, stage = run_stage(
+        "CV_verify", prompts.CV_VERIFY_INSTRUCTION, query, demos, binding, params
     )
-    bundle = PromptBundle(
-        subtask="CV_verify",
-        system_instruction=prompts.CV_VERIFY_INSTRUCTION,
-        demonstrations=demos,
-        query=query,
-    )
-    stage = StageResult(started=time.monotonic())
-    flags = []
-    prompt, raw = _generate(binding, bundle, params)
-    stage.prompt = prompt
-    stage.raw.append(raw)
-    found = extract_json(raw)
-    values = found[0] if found and isinstance(found[0], list) else None
     verdicts = []
+    flags = []
     for i in range(len(statements)):
         raw_value = values[i] if values is not None and i < len(values) else None
         try:
@@ -270,9 +199,6 @@ def verify_steps(instance, statements, evidence, demos, binding, params):
         except SchemaError:
             verdicts.append(False)
             flags.append(f"verdict_defaulted:{i + 1}")
-    if values is None:
-        stage.failed = True
-    stage.finished = time.monotonic()
     return verdicts, stage, flags
 
 
@@ -342,11 +268,8 @@ class CascadePipeline:
         )
 
     def run_batch(self, instances, workers=4):
-        outputs = []
         with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            futures = {pool.submit(self.run, x): x for x in instances}
-            for future, instance in futures.items():
-                outputs.append(future.result())
+            outputs = list(pool.map(self.run, instances))
         outputs.sort(key=lambda o: o.instance_id)
         return outputs
 

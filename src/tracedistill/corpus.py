@@ -324,10 +324,6 @@ def save_jsonl(path, rows):
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
-def save_seed(path, examples):
-    save_jsonl(path, (seed_to_json(e) for e in examples))
-
-
 def compute_stats(traces):
     """Trace-level counts for QP/CP and the step-level count for CV."""
     total = len(traces)

@@ -26,7 +26,6 @@ from pathlib import Path
 from .corpus import _index_keys, canonicalize_verification
 
 EXHAUSTIVE_LIMIT = 12
-LEVELS = ("statement", "evidence", "reasoning")
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -266,17 +265,6 @@ def evaluate(pred_file, gold_file, policy=None):
         reason_f1=sum(s["reason_f1"] for s in per_instance) / n,
         per_instance=per_instance,
     )
-
-
-def question_f1(pred_file, gold_file, policy=None):
-    return evaluate(pred_file, gold_file, policy).ques_f1
-
-
-def cot_f1(pred_file, gold_file, policy=None, level="statement"):
-    if level not in LEVELS:
-        raise EvalError(f"unknown level {level!r}; expected one of {LEVELS}")
-    report = evaluate(pred_file, gold_file, policy)
-    return {"statement": report.stmt_f1, "evidence": report.evid_f1, "reasoning": report.reason_f1}[level]
 
 
 def format_report(report):

@@ -1,4 +1,4 @@
-"""Dual-stage quality filtering and step-level CV expansion.
+"""Dual-stage quality filtering of synthesized records.
 
 Stage one is structural: drop records whose output never parsed, parsed to
 fewer than two steps, or carry an empty condition list. Stage two scores
@@ -18,9 +18,11 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .backends import BackendError
+from . import prompts
+from .backends import BackendError, ChatMessage
 from .corpus import SeedExample
-from .synthesis import STATUS_OK, build_ucot_prompt
+from .retrieval import top_k
+from .synthesis import STATUS_OK, RewardRecord
 
 log = logging.getLogger(__name__)
 
@@ -37,16 +39,6 @@ REASON_UNSCORED = "unscored"
 
 STAGE_STRUCTURAL = "structural"
 STAGE_REWARD = "reward"
-
-
-@dataclass
-class RewardRecord:
-    s_few: float
-    s_zero: float
-
-    @property
-    def s_avg(self):
-        return (self.s_few + self.s_zero) / 2
 
 
 @dataclass
@@ -100,23 +92,27 @@ def structural_filter(record):
     )
 
 
-def build_reward_prompts(instance, response_text, hits, seed_by_id, instruction=None):
+def build_reward_prompts(instance, hits, seed_by_id, instruction=None):
     """Few-shot and zero-shot chat contexts for scoring one synthesized output.
 
-    Both contexts share the same instruction text; only the few-shot one
-    carries demonstrations. The response being scored is passed to the
-    reward call separately.
+    Both are the synthesis UCoT prompt with the same instruction text; only
+    the few-shot one carries demonstrations. The response being scored is
+    passed to the reward call separately.
     """
-    few = build_ucot_prompt(instance, hits, seed_by_id, instruction)
-    zero = build_ucot_prompt(instance, [], seed_by_id, instruction)
-    return few.to_messages(), zero.to_messages()
+    instruction = instruction or prompts.UCOT_INSTRUCTION
+    query = prompts.question_block(instance, cot=True)
+
+    def messages(demos):
+        return [ChatMessage(role="user", content=prompts.render("UCoT", instruction, demos, query))]
+
+    return messages(prompts.demo_pairs_ucot(hits, seed_by_id)), messages([])
 
 
 def score_record(record, hits, seed_by_id, backend, instruction=None):
     """Reward the raw synthesized reasoning under both prompt variants."""
     response = record.ucot_raw
     few_messages, zero_messages = build_reward_prompts(
-        record.instance, response, hits, seed_by_id, instruction
+        record.instance, hits, seed_by_id, instruction
     )
     s_few = backend.reward(few_messages, response)
     s_zero = backend.reward(zero_messages, response)
@@ -161,39 +157,6 @@ def to_training_example(record):
 
 
 @dataclass
-class CVRow:
-    id: str
-    question: str
-    question_parsing: list[str]
-    statement: str
-    evidence: str
-    verification: bool
-
-
-def expand_cv(examples):
-    """One verification row per step; row count equals the CV dataset size."""
-    rows = []
-    for example in examples:
-        if len(example.trace.steps) < 2:
-            raise ValueError(
-                f"trace {example.instance.id!r} has {len(example.trace.steps)} steps; "
-                "expand_cv expects structurally filtered traces"
-            )
-        for step in example.trace.steps:
-            rows.append(
-                CVRow(
-                    id=example.instance.id,
-                    question=example.instance.question,
-                    question_parsing=list(example.question_parsing),
-                    statement=step.statement,
-                    evidence=step.evidence,
-                    verification=step.verification,
-                )
-            )
-    return rows
-
-
-@dataclass
 class FilterResult:
     outcomes: list[FilterOutcome]
     kept: dict[str, list]  # strategy -> SynthesizedRecords, input order
@@ -207,8 +170,6 @@ def run_filter(records, index, seed_by_id, reward_backend, k=5,
     Reward calls happen only for structural survivors; scoring failures
     mark the record unscored and exclude it from every reward strategy.
     """
-    from .retrieval import top_k
-
     outcomes = []
     survivors = []
     for record in records:

@@ -14,7 +14,6 @@ normalization "none" sums the raw values instead.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -23,8 +22,6 @@ from itertools import combinations
 
 from . import prompts
 from .backends import CapabilityError, ChatMessage, GenParams
-from .corpus import format_question, trace_to_json
-from .synthesis import PromptBundle
 
 log = logging.getLogger(__name__)
 
@@ -68,26 +65,9 @@ class InductionConfig:
             raise InductionError(f"unknown normalization {self.normalization!r}")
 
 
-def gold_output(example, subtask):
-    if subtask == "QP":
-        return json.dumps(example.question_parsing, ensure_ascii=False, indent=2)
-    return json.dumps(trace_to_json(example.trace), ensure_ascii=False, indent=2)
-
-
-def _example_input(example, subtask):
-    text = f"Question:\n{format_question(example.instance)}"
-    if subtask == "UCoT" and example.instance.cot:
-        text += f"\n\nCoT:\n{example.instance.cot}"
-    return text
-
-
-def _reverse_prompt_text(config, ordered_seed):
-    parts = [prompts.SECTION_INSTRUCTION, config.reverse_prompt.strip(), "", prompts.SECTION_EXAMPLES]
-    for example in ordered_seed:
-        parts += ["", _example_input(example, config.subtask), "",
-                  "Output:\n" + gold_output(example, config.subtask)]
-    parts += ["", prompts.INDUCTION_HEADER]
-    return "\n".join(parts)
+def _candidate_messages(candidate_text, example, subtask):
+    query = prompts.question_block(example.instance, cot=subtask == "UCoT")
+    return [ChatMessage(role="user", content=prompts.render(subtask, candidate_text, [], query))]
 
 
 def generate_candidates(config, seed_examples, backend):
@@ -106,7 +86,7 @@ def generate_candidates(config, seed_examples, backend):
         ordered = list(seed_examples)
         if round_no:
             random.Random(config.base_seed + round_no).shuffle(ordered)
-        prompt_text = _reverse_prompt_text(config, ordered)
+        prompt_text = prompts.reverse_prompt(config.reverse_prompt, ordered, config.subtask)
         needed = config.n_candidates - len(texts)
         for _ in range(needed):
             params = GenParams(
@@ -130,15 +110,6 @@ def generate_candidates(config, seed_examples, backend):
     return texts
 
 
-def _candidate_bundle(candidate_text, example, config):
-    return PromptBundle(
-        subtask=config.subtask,
-        system_instruction=candidate_text,
-        demonstrations=[],
-        query=_example_input(example, config.subtask),
-    )
-
-
 def score_gen(candidate_text, seed_examples, config, backend, reward_backend=None, workers=4):
     """Mean per-example fit of the gold outputs under the candidate.
 
@@ -151,8 +122,8 @@ def score_gen(candidate_text, seed_examples, config, backend, reward_backend=Non
     params = GenParams(temperature=config.temperature, max_tokens=config.max_tokens)
 
     def score_one(example):
-        messages = _candidate_bundle(candidate_text, example, config).to_messages()
-        gold = gold_output(example, config.subtask)
+        messages = _candidate_messages(candidate_text, example, config.subtask)
+        gold = prompts.gold_output(example, config.subtask)
         try:
             return backend.score_completion(messages, gold), "logprob"
         except CapabilityError:
@@ -170,17 +141,6 @@ def score_gen(candidate_text, seed_examples, config, backend, reward_backend=Non
 def _held_out_slice(seed_examples, fraction):
     count = max(1, round(fraction * len(seed_examples)))
     return list(seed_examples[-count:])
-
-
-def _judge_messages(gold_blocks, outputs_a, outputs_b):
-    parts = [prompts.JUDGE_INSTRUCTION, "", "Gold outputs:"]
-    parts += gold_blocks
-    parts += ["", "Outputs A:"]
-    parts += outputs_a
-    parts += ["", "Outputs B:"]
-    parts += outputs_b
-    parts += ["", prompts.JUDGE_ANSWER_LINE]
-    return [ChatMessage(role="user", content="\n".join(parts))]
 
 
 def _parse_verdict(raw):
@@ -211,7 +171,7 @@ def score_pref(candidate_texts, seed_examples, config, backend, judge_backend, w
         generated = list(
             pool.map(
                 lambda job: backend.generate(
-                    _candidate_bundle(job[0], job[1], config).to_messages(), params
+                    _candidate_messages(job[0], job[1], config.subtask), params
                 ),
                 jobs,
             )
@@ -221,17 +181,15 @@ def score_pref(candidate_texts, seed_examples, config, backend, judge_backend, w
         generated[i * per_candidate : (i + 1) * per_candidate]
         for i in range(len(candidate_texts))
     ]
-    gold_blocks = [gold_output(ex, config.subtask) for ex in held_out]
+    gold_blocks = [prompts.gold_output(ex, config.subtask) for ex in held_out]
     pairs = list(combinations(range(len(candidate_texts)), 2))
+
+    def judge(pair):
+        text = prompts.judge_prompt(gold_blocks, outputs[pair[0]], outputs[pair[1]])
+        return judge_backend.generate([ChatMessage(role="user", content=text)], params)
+
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        raw_verdicts = list(
-            pool.map(
-                lambda pair: judge_backend.generate(
-                    _judge_messages(gold_blocks, outputs[pair[0]], outputs[pair[1]]), params
-                ),
-                pairs,
-            )
-        )
+        raw_verdicts = list(pool.map(judge, pairs))
     wins = [0] * len(candidate_texts)
     for (i, j), raw in zip(pairs, raw_verdicts):
         verdict = _parse_verdict(raw)

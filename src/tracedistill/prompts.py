@@ -1,14 +1,25 @@
-"""Instruction templates and prompt rendering.
+"""Instruction templates and the one place that turns data into prompt text.
 
 Rendered prompts use ###Instruction### / ###Examples### / ###Input###
-section markers. Demonstrations are pre-rendered (input, output) text
-blocks so that callers control exactly what each example shows; the last
-line of every rendered prompt is the output header for the artifact being
-requested (e.g. "Question Parsing:"), which doubles as the template cue
-for the deterministic mock backend.
+section markers. `render` assembles a prompt for one subtask from an
+instruction, demonstration cards and a query; the last line of every
+rendered prompt is the output header for the artifact being requested
+(e.g. "Question Parsing:"), which doubles as the template cue for the
+deterministic mock backend.
+
+This module owns the cards and the queries. A card is an (input, output)
+pair of text blocks for one retrieved seed example: `demo_pairs_qp` and
+`demo_pairs_ucot` feed synthesis and reward scoring, and `demo_pairs_full`
+is the block every cascade stage shares byte for byte. All of them are
+built from `question_block` and the seed's gold QP and steps blocks. The
+induction meta-prompts (reverse and judge) live here too.
 """
 
 from __future__ import annotations
+
+import json
+
+from . import corpus
 
 SECTION_INSTRUCTION = "###Instruction###"
 SECTION_EXAMPLES = "###Examples###"
@@ -134,3 +145,86 @@ def render_prompt(instruction, demonstrations, query, output_header, notice=None
             parts += ["", demo_in.strip(), "", demo_out.strip()]
     parts += ["", SECTION_INPUT, "", query.strip(), "", output_header]
     return "\n".join(parts)
+
+
+def render(subtask, instruction, demos, query):
+    """The full prompt for one subtask; UCoT prompts carry the double-quote notice."""
+    notice = DOUBLE_QUOTE_NOTICE if subtask == "UCoT" else None
+    return render_prompt(instruction, demos, query, OUTPUT_HEADERS[subtask], notice=notice)
+
+
+def _dump(value):
+    return json.dumps(value, ensure_ascii=False, indent=2)
+
+
+def _cot_suffix(instance):
+    return f"\n\nCoT:\n{instance.cot}" if instance.cot else ""
+
+
+def question_block(instance, cot=False):
+    """The question with its labelled choices, plus the CoT when asked for and present."""
+    text = f"Question:\n{corpus.format_question(instance)}"
+    return text + _cot_suffix(instance) if cot else text
+
+
+def gold_output(example, subtask):
+    """A seed example's QP condition list or UCoT steps as indented JSON."""
+    if subtask == "QP":
+        return _dump(example.question_parsing)
+    return _dump(corpus.trace_to_json(example.trace))
+
+
+def _answer_block(example, subtask):
+    return f"{OUTPUT_HEADERS[subtask]}\n{gold_output(example, subtask)}"
+
+
+def demo_pairs_qp(hits, seed_by_id):
+    """QP cards: the question, then its conditions."""
+    examples = [seed_by_id[hit.id] for hit in hits]
+    return [(question_block(e.instance), _answer_block(e, "QP")) for e in examples]
+
+
+def demo_pairs_ucot(hits, seed_by_id):
+    """UCoT cards: the question and its CoT, then its steps."""
+    examples = [seed_by_id[hit.id] for hit in hits]
+    return [(question_block(e.instance, cot=True), _answer_block(e, "UCoT")) for e in examples]
+
+
+def demo_pairs_full(hits, seed_by_id):
+    """Full cards shared verbatim by every cascade stage prompt."""
+    examples = [seed_by_id[hit.id] for hit in hits]
+    return [
+        (
+            question_block(e.instance),
+            f"{_answer_block(e, 'QP')}{_cot_suffix(e.instance)}\n\n{_answer_block(e, 'UCoT')}",
+        )
+        for e in examples
+    ]
+
+
+def verifier_query(instance, statements, evidence=None):
+    """Query of the Verifier's evidence pass, or of its verify pass when given evidence."""
+    text = f"{question_block(instance)}\n\nStatements:\n{_dump(statements)}"
+    if evidence is not None:
+        text += f"\n\nEvidence:\n{_dump(evidence)}"
+    return text
+
+
+def reverse_prompt(instruction, examples, subtask):
+    """Meta-prompt asking for the instruction that maps each input to its gold output."""
+    parts = [SECTION_INSTRUCTION, instruction.strip(), "", SECTION_EXAMPLES]
+    for example in examples:
+        parts += ["", question_block(example.instance, cot=subtask == "UCoT"), "",
+                  "Output:\n" + gold_output(example, subtask)]
+    parts += ["", INDUCTION_HEADER]
+    return "\n".join(parts)
+
+
+def judge_prompt(gold_blocks, outputs_a, outputs_b):
+    """Pairwise comparison of two candidates' outputs against the gold outputs."""
+    return "\n".join([
+        JUDGE_INSTRUCTION, "", "Gold outputs:", *gold_blocks,
+        "", "Outputs A:", *outputs_a,
+        "", "Outputs B:", *outputs_b,
+        "", JUDGE_ANSWER_LINE,
+    ])

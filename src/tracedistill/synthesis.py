@@ -24,13 +24,14 @@ from .corpus import (
     QuestionInstance,
     ReasoningTrace,
     SchemaError,
-    format_question,
+    instance_to_json,
     parse_instance,
     parse_question_parsing,
     parse_trace,
     trace_to_json,
     _index_keys,
 )
+from .prompts import demo_pairs_qp, demo_pairs_ucot, question_block
 from .retrieval import top_k
 
 log = logging.getLogger(__name__)
@@ -45,30 +46,15 @@ MIN_STEPS = 2
 
 
 @dataclass
-class PromptBundle:
-    """A fully-assembled prompt: instruction, ranked demonstrations, query."""
+class RewardRecord:
+    """Reward-model scores of one record under the few-shot and zero-shot prompts."""
 
-    subtask: str
-    system_instruction: str
-    demonstrations: list[tuple[str, str]]
-    query: str
+    s_few: float
+    s_zero: float
 
-    def __post_init__(self):
-        if self.subtask not in prompts.OUTPUT_HEADERS:
-            raise ValueError(f"unknown subtask {self.subtask!r}")
-
-    def render_text(self):
-        notice = prompts.DOUBLE_QUOTE_NOTICE if self.subtask == "UCoT" else None
-        return prompts.render_prompt(
-            self.system_instruction,
-            self.demonstrations,
-            self.query,
-            prompts.OUTPUT_HEADERS[self.subtask],
-            notice=notice,
-        )
-
-    def to_messages(self):
-        return [ChatMessage(role="user", content=self.render_text())]
+    @property
+    def s_avg(self):
+        return (self.s_few + self.s_zero) / 2
 
 
 @dataclass
@@ -106,7 +92,7 @@ def extract_json(raw):
             continue
         try:
             value, end = decoder.raw_decode(raw, i)
-        except ValueError:
+        except (ValueError, RecursionError):  # deep nesting fails like bad JSON
             continue
         length = end - i
         if best is None or length > best[2]:
@@ -162,60 +148,6 @@ def parse_ucot(raw):
         return ParseFailure(STATUS_UCOT_MALFORMED, _byte_offset(raw, start), str(exc))
 
 
-def demo_pairs_qp(hits, seed_by_id):
-    pairs = []
-    for hit in hits:
-        example = seed_by_id[hit.id]
-        pairs.append(
-            (
-                f"Question:\n{format_question(example.instance)}",
-                prompts.OUTPUT_HEADERS["QP"]
-                + "\n"
-                + json.dumps(example.question_parsing, ensure_ascii=False, indent=2),
-            )
-        )
-    return pairs
-
-
-def demo_pairs_ucot(hits, seed_by_id):
-    pairs = []
-    for hit in hits:
-        example = seed_by_id[hit.id]
-        head = f"Question:\n{format_question(example.instance)}"
-        if example.instance.cot:
-            head += f"\n\nCoT:\n{example.instance.cot}"
-        pairs.append(
-            (
-                head,
-                prompts.OUTPUT_HEADERS["UCoT"]
-                + "\n"
-                + json.dumps(trace_to_json(example.trace), ensure_ascii=False, indent=2),
-            )
-        )
-    return pairs
-
-
-def build_qp_prompt(instance, hits, seed_by_id, instruction=None):
-    return PromptBundle(
-        subtask="QP",
-        system_instruction=instruction or prompts.QP_INSTRUCTION,
-        demonstrations=demo_pairs_qp(hits, seed_by_id),
-        query=f"Question:\n{format_question(instance)}",
-    )
-
-
-def build_ucot_prompt(instance, hits, seed_by_id, instruction=None):
-    query = f"Question:\n{format_question(instance)}"
-    if instance.cot:
-        query += f"\n\nCoT:\n{instance.cot}"
-    return PromptBundle(
-        subtask="UCoT",
-        system_instruction=instruction or prompts.UCOT_INSTRUCTION,
-        demonstrations=demo_pairs_ucot(hits, seed_by_id),
-        query=query,
-    )
-
-
 def resolve_status(qp, trace):
     if isinstance(qp, ParseFailure):
         return STATUS_QP_MALFORMED
@@ -232,10 +164,16 @@ def synthesize(instance, index, seed_by_id, backend, qp_instruction=None,
     params = params or GenParams()
     exclude = {instance.id} if leave_one_out else None
     hits = top_k(index, instance.question, k, exclude=exclude)
-    qp_bundle = build_qp_prompt(instance, hits, seed_by_id, qp_instruction)
-    ucot_bundle = build_ucot_prompt(instance, hits, seed_by_id, ucot_instruction)
-    qp_raw = backend.generate(qp_bundle.to_messages(), params)
-    ucot_raw = backend.generate(ucot_bundle.to_messages(), params)
+    qp_prompt = prompts.render(
+        "QP", qp_instruction or prompts.QP_INSTRUCTION,
+        demo_pairs_qp(hits, seed_by_id), question_block(instance),
+    )
+    ucot_prompt = prompts.render(
+        "UCoT", ucot_instruction or prompts.UCOT_INSTRUCTION,
+        demo_pairs_ucot(hits, seed_by_id), question_block(instance, cot=True),
+    )
+    qp_raw = backend.generate([ChatMessage(role="user", content=qp_prompt)], params)
+    ucot_raw = backend.generate([ChatMessage(role="user", content=ucot_prompt)], params)
     qp = parse_qp(qp_raw)
     trace = parse_ucot(ucot_raw)
     status = resolve_status(qp, trace)
@@ -284,8 +222,6 @@ def synthesize_batch(pool, index, seed_by_id, backend, qp_instruction=None,
 
 
 def record_to_json(record):
-    from .corpus import instance_to_json  # local to keep module import light
-
     out = instance_to_json(record.instance)
     out["qp_raw"] = record.qp_raw
     out["ucot_raw"] = record.ucot_raw
@@ -304,8 +240,6 @@ def record_to_json(record):
 
 
 def record_from_json(obj):
-    from .filtering import RewardRecord  # avoid import cycle at module load
-
     fields = _index_keys(obj)
     instance = parse_instance(fields)
     qp = fields.get("question_parsing")

@@ -223,3 +223,15 @@ def test_decompose_cot_direct_precondition():
     instance.cot = "   "
     with pytest.raises(CascadeError):
         decompose_cot(instance, demos, AgentBinding("decomposer", MockBackend()), GenParams())
+
+
+def test_hostile_nesting_is_flagged_not_fatal():
+    hostile = "[" * 3000
+    script = {prompts.OUTPUT_HEADERS[s]: hostile for s in ("QP", "CP", "CV_evidence", "CV_verify")}
+    pipeline, _ = _pipeline(script=script)
+    instances = [gold_instance(f"t-{i}") for i in range(2)]
+    outputs = pipeline.run_batch(instances, workers=2)
+    assert [o.instance_id for o in outputs] == ["t-0", "t-1"]
+    for output in outputs:
+        assert output.flags == ["parser_failed", "decomposer_failed", "no_statements"]
+        assert len(output.stages["question_parsing"].raw) == 2

@@ -245,7 +245,7 @@ def test_filter_audit_shows_exact_average_for_recorded_rewards(tmp_path):
     seed_by_id = {e.instance.id: e for e in seeds}
     index = build_index(seeds, backends["embedding"].embed, encoder="embed-mock")
     hits = top_k(index, gold.instance.question, config.k, exclude={gold.instance.id})
-    few, zero = build_reward_prompts(gold.instance, record.ucot_raw, hits, seed_by_id)
+    few, zero = build_reward_prompts(gold.instance, hits, seed_by_id)
     cassette = CassetteTransport(cassette_path)
     url = "https://rm.test/v1/chat/completions"
     cassette.add(url, build_reward_payload("rm", few, record.ucot_raw), {"score": GOLD_REWARD_FEW})

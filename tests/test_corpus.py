@@ -13,7 +13,8 @@ from tracedistill.corpus import (
     export_sft,
     load_questions,
     load_seed,
-    save_seed,
+    save_jsonl,
+    seed_to_json,
     verification_str,
 )
 
@@ -133,10 +134,10 @@ def test_round_trip_load_emit_load(tmp_path):
     examples = [gold_example(), make_example("syn-1", n_steps=3), make_example("syn-2")]
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
-    save_seed(first, examples)
+    save_jsonl(first, (seed_to_json(e) for e in examples))
     loaded = load_seed(first)
     assert loaded == examples
-    save_seed(second, loaded)
+    save_jsonl(second, (seed_to_json(e) for e in loaded))
     assert first.read_text(encoding="utf-8") == second.read_text(encoding="utf-8")
 
 

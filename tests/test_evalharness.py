@@ -8,13 +8,11 @@ from tracedistill.evalharness import (
     EvalError,
     MatchPolicy,
     _pair_tuple,
-    cot_f1,
     evaluate,
     format_report,
     match_sets,
     match_steps,
     normalize_text,
-    question_f1,
     token_f1,
 )
 
@@ -91,7 +89,7 @@ def test_macro_average_hand_computed(tmp_path):
         _row("b", ["c1", "wrong"], []),       # tp=1, |pred|=|gold|=2 -> F1 = 0.5
     ]
     pred, gold = _write_pair(tmp_path, pred_rows, gold_rows)
-    assert question_f1(pred, gold) == pytest.approx(0.75)
+    assert evaluate(pred, gold).ques_f1 == pytest.approx(0.75)
 
 
 def test_flipped_verdicts_zero_reasoning_same_evidence(tmp_path):
@@ -230,13 +228,11 @@ def test_id_mismatch_lists_missing_ids(tmp_path):
     assert "b" in str(err.value)
 
 
-def test_cot_f1_levels_and_validation(tmp_path):
+def test_step_f1_levels_on_identical_files(tmp_path):
     gold = gold_record_dict()
     pred, gold_path = _write_pair(tmp_path, [gold], [gold])
-    assert cot_f1(pred, gold_path, level="statement") == 1.0
-    assert cot_f1(pred, gold_path, level="reasoning") == 1.0
-    with pytest.raises(EvalError):
-        cot_f1(pred, gold_path, level="vibes")
+    report = evaluate(pred, gold_path)
+    assert report.stmt_f1 == report.evid_f1 == report.reason_f1 == 1.0
 
 
 def test_policy_validation():

@@ -12,15 +12,13 @@ from conftest import (
     make_example,
 )
 from tracedistill.backends import BackendError, CachingBackend, MockBackend
-from tracedistill.corpus import compute_stats, trace_to_json
+from tracedistill.corpus import compute_stats, export_sft, trace_to_json
 from tracedistill.filtering import (
     STRATEGIES,
-    CVRow,
     FilterOutcome,
     RewardRecord,
     apply_strategy,
     build_reward_prompts,
-    expand_cv,
     run_filter,
     score_record,
     structural_filter,
@@ -100,7 +98,7 @@ def _scoring_setup():
 def test_build_reward_prompts_demo_counts_and_shared_instruction():
     seeds, seed_by_id, index = _scoring_setup()
     hits = top_k(index, "a new question", 5)
-    few, zero = build_reward_prompts(gold_instance("x"), "response", hits, seed_by_id)
+    few, zero = build_reward_prompts(gold_instance("x"), hits, seed_by_id)
     assert len(few) == len(zero) == 1
     few_text, zero_text = few[0].content, zero[0].content
     assert "###Examples###" in few_text
@@ -157,26 +155,34 @@ def test_strategy_score_selects_component():
     assert strategy_score(rewards, "average") == 1.5
 
 
-def test_expand_cv_row_count_and_labels():
+def _cv_rows(examples, tmp_path):
+    """CV export rows: export_sft expands CV to one row per step."""
+    path = tmp_path / "cv.jsonl"
+    count = export_sft(examples, "CV", path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "#sft-v1"
+    rows = [json.loads(line) for line in lines[1:]]
+    assert count == len(rows)
+    return rows
+
+
+def test_expand_cv_row_count_and_labels(tmp_path):
     example = gold_example()
-    rows = expand_cv([example])
+    rows = _cv_rows([example], tmp_path)
     assert len(rows) == 4
-    assert [r.verification for r in rows] == [True, True, False, False]
-    assert all(isinstance(r, CVRow) for r in rows)
-    assert rows[0].question == example.instance.question
-    assert rows[0].question_parsing == example.question_parsing
+    assert [r["target"] for r in rows] == ["True", "True", "False", "False"]
+    assert rows[0]["input"].startswith(example.instance.question)
+    assert json.dumps(example.question_parsing, ensure_ascii=False) in rows[0]["input"]
 
 
-def test_expand_cv_counts_match_stats():
+def test_expand_cv_counts_match_stats(tmp_path):
     examples = [make_example("a", n_steps=3), make_example("b", n_steps=4)]
-    rows = expand_cv(examples)
+    rows = _cv_rows(examples, tmp_path)
     assert len(rows) == 7 == compute_stats([e.trace for e in examples]).cv_count
 
 
-def test_expand_cv_empty_and_precondition():
-    assert expand_cv([]) == []
-    with pytest.raises(ValueError):
-        expand_cv([make_example("x", n_steps=1)])
+def test_cv_export_of_no_records_is_header_only(tmp_path):
+    assert _cv_rows([], tmp_path) == []
 
 
 def test_run_filter_reward_calls_only_for_structural_survivors():

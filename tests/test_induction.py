@@ -3,19 +3,18 @@ import random
 import pytest
 
 from conftest import make_example
-from tracedistill.backends import Backend, CachingBackend, MockBackend
+from tracedistill import prompts
+from tracedistill.backends import Backend, CachingBackend, ChatMessage, MockBackend
 from tracedistill.induction import (
     CandidatePrompt,
     InductionConfig,
     InductionError,
     generate_candidates,
-    gold_output,
     induce_prompt,
     score_gen,
     score_pref,
     select_prompt,
 )
-from tracedistill.synthesis import PromptBundle
 
 
 SEED = [make_example(f"seed-{i}", n_steps=2 + i % 2) for i in range(4)]
@@ -66,13 +65,11 @@ def test_score_gen_single_example_equals_direct_score():
     candidate = "Extract the key conditions as a JSON array."
     seed = SEED[:1]
     value, method = score_gen(candidate, seed, config, backend)
-    bundle = PromptBundle(
-        subtask="QP", system_instruction=candidate, demonstrations=[],
-        query=f"Question:\n{seed[0].instance.question}\n" + "\n".join(
-            f"{label}. {text}" for label, text in zip("ABCD", seed[0].instance.options)
-        ),
+    query = f"Question:\n{seed[0].instance.question}\n" + "\n".join(
+        f"{label}. {text}" for label, text in zip("ABCD", seed[0].instance.options)
     )
-    direct = backend.score_completion(bundle.to_messages(), gold_output(seed[0], "QP"))
+    messages = [ChatMessage(role="user", content=prompts.render("QP", candidate, [], query))]
+    direct = backend.score_completion(messages, prompts.gold_output(seed[0], "QP"))
     assert method == "logprob"
     assert value == direct
 

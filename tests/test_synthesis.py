@@ -9,9 +9,8 @@ from tracedistill.corpus import trace_to_json
 from tracedistill.retrieval import build_index
 from tracedistill.synthesis import (
     ParseFailure,
-    PromptBundle,
-    build_qp_prompt,
-    build_ucot_prompt,
+    demo_pairs_qp,
+    demo_pairs_ucot,
     extract_json,
     parse_qp,
     parse_ucot,
@@ -115,42 +114,53 @@ def _hits_and_seeds(k=2):
     return hits, seed_by_id, index, seeds
 
 
+def _qp_prompt(instance, hits, seed_by_id):
+    demos = demo_pairs_qp(hits, seed_by_id)
+    query = prompts.question_block(instance)
+    return demos, prompts.render("QP", prompts.QP_INSTRUCTION, demos, query)
+
+
+def _ucot_prompt(instance, hits, seed_by_id):
+    demos = demo_pairs_ucot(hits, seed_by_id)
+    query = prompts.question_block(instance, cot=True)
+    return demos, prompts.render("UCoT", prompts.UCOT_INSTRUCTION, demos, query)
+
+
 def test_build_qp_prompt_demo_rank_order_and_verbatim_conditions():
     hits, seed_by_id, _, _ = _hits_and_seeds(k=3)
-    bundle = build_qp_prompt(gold_instance("query-1"), hits, seed_by_id)
+    demos, rendered = _qp_prompt(gold_instance("query-1"), hits, seed_by_id)
     assert [h.rank for h in hits] == [1, 2, 3]
-    assert len(bundle.demonstrations) == 3
-    rendered = bundle.render_text()
+    assert len(demos) == 3
     # the top hit is the gold seed; its conditions appear verbatim in its demo
     assert "Only one person in the group knew 3 people." in rendered
-    first_demo_output = bundle.demonstrations[0][1]
-    assert json.loads(first_demo_output.split(":", 1)[1]) == GOLD_QP
+    assert rendered.index(demos[0][0]) < rendered.index(demos[1][0]) < rendered.index(demos[2][0])
+    assert json.loads(demos[0][1].split(":", 1)[1]) == GOLD_QP
 
 
 def test_build_qp_prompt_zero_hits_is_valid():
-    bundle = build_qp_prompt(gold_instance(), [], {})
-    assert bundle.demonstrations == []
-    assert bundle.render_text().endswith(prompts.OUTPUT_HEADERS["QP"])
+    demos, rendered = _qp_prompt(gold_instance(), [], {})
+    assert demos == []
+    assert prompts.SECTION_EXAMPLES not in rendered
+    assert rendered.endswith(prompts.OUTPUT_HEADERS["QP"])
 
 
 def test_build_ucot_prompt_contains_notice_verbatim():
     hits, seed_by_id, _, _ = _hits_and_seeds()
-    bundle = build_ucot_prompt(gold_instance("query-1"), hits, seed_by_id)
-    assert prompts.DOUBLE_QUOTE_NOTICE in bundle.render_text()
+    _, rendered = _ucot_prompt(gold_instance("query-1"), hits, seed_by_id)
+    assert prompts.DOUBLE_QUOTE_NOTICE in rendered
 
 
 def test_build_ucot_prompt_zero_hits_is_valid_zero_shot():
-    bundle = build_ucot_prompt(gold_instance("query-1"), [], {})
-    assert bundle.demonstrations == []
-    rendered = bundle.render_text()
+    demos, rendered = _ucot_prompt(gold_instance("query-1"), [], {})
+    assert demos == []
     assert prompts.SECTION_EXAMPLES not in rendered
     assert rendered.endswith(prompts.OUTPUT_HEADERS["UCoT"])
 
 
 def test_build_ucot_demo_serialization_uses_lowercase_keys():
     hits, seed_by_id, _, _ = _hits_and_seeds()
-    bundle = build_ucot_prompt(gold_instance("query-1"), hits, seed_by_id)
-    demo_out = bundle.demonstrations[0][1]
+    demos, _ = _ucot_prompt(gold_instance("query-1"), hits, seed_by_id)
+    demo_out = demos[0][1]
     assert '"statement"' in demo_out
     assert '"evidence"' in demo_out
     assert '"verification"' in demo_out
@@ -161,13 +171,14 @@ def test_demo_count_is_min_k_and_pool_after_exclusion():
     from tracedistill.retrieval import top_k
 
     hits = top_k(index, seeds[0].instance.question, 10, exclude={seeds[0].instance.id})
-    bundle = build_qp_prompt(seeds[0].instance, hits, seed_by_id)
-    assert len(bundle.demonstrations) == min(10, len(seeds) - 1)
+    demos, rendered = _qp_prompt(seeds[0].instance, hits, seed_by_id)
+    assert len(demos) == min(10, len(seeds) - 1)
+    assert rendered.count("Question:") == len(demos) + 1
 
 
-def test_prompt_bundle_rejects_unknown_subtask():
-    with pytest.raises(ValueError):
-        PromptBundle(subtask="nope", system_instruction="x", demonstrations=[], query="q")
+def test_render_rejects_unknown_subtask():
+    with pytest.raises(KeyError):
+        prompts.render("nope", "x", [], "q")
 
 
 def test_resolve_status_precedence():
