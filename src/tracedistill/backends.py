@@ -491,9 +491,12 @@ class HttpBackend(Backend):
         payload = build_chat_payload(self.model, messages, params)
         resp = self.transport(self._url("/chat/completions"), payload)
         try:
-            return resp["choices"][0]["message"]["content"]
+            content = resp["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed chat response: {resp!r}") from exc
+        if not isinstance(content, str):
+            raise BackendError(f"malformed chat response: {resp!r}")
+        return content
 
     def embed(self, text):
         if not text:

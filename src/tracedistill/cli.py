@@ -11,9 +11,11 @@
 Every run writes a manifest (config hash, input hashes, output hashes,
 format versions) under <workdir>/manifests/ and call-count diagnostics
 under <workdir>/logs/. Manifests contain no timestamps: rerunning a
-subcommand on unchanged inputs reproduces it byte for byte. Concurrent
-invocations against one working directory are rejected via a lock file.
-Failures print a machine-readable JSON error on stderr and exit nonzero.
+subcommand on unchanged inputs reproduces it byte for byte. The on-disk
+call cache is the only state reused across runs; index.bin is written by
+synthesize and read by no stage. Concurrent invocations against one
+working directory are rejected via a lock file. Failures print a
+machine-readable JSON error on stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .corpus import (
 from .evalharness import EvalError, evaluate, format_report
 from .filtering import STRATEGIES, run_filter, to_training_example
 from .induction import InductionConfig, InductionError, induce_prompt
-from .retrieval import INDEX_FORMAT, RetrievalError, build_index, load_index, save_index
+from .retrieval import INDEX_FORMAT, RetrievalError, build_index, save_index
 from .synthesis import record_from_json, record_to_json, synthesize_batch
 
 
@@ -162,27 +164,16 @@ def _gen_params(config):
     )
 
 
-def _load_instruction(config, subtask, required):
-    text_path, _ = _prompt_paths(config, subtask)
-    if not text_path.exists():
-        if required:
-            raise MissingArtifactError(text_path, "induce")
-        return None
+def _load_instruction(config, subtask):
+    text_path = _require(_prompt_paths(config, subtask)[0], "induce")
     return text_path.read_text(encoding="utf-8").rstrip("\n")
 
 
-def _index_path(config):
-    return config.workdir / "index.bin"
-
-
-def _load_or_build_index(config, backends, seed_examples):
-    encoder = config.profiles["embedding"].model
-    path = _index_path(config)
-    if path.exists():
-        return load_index(path, embed_fn=backends["embedding"].embed, expected_encoder=encoder)
-    index = build_index(seed_examples, backends["embedding"].embed, encoder=encoder)
-    save_index(index, path)
-    return index
+def _seed_index(config, backends, seed):
+    """Embed the seed questions; every run rebuilds it, and the cache makes that cheap."""
+    return build_index(
+        seed, backends["embedding"].embed, encoder=config.profiles["embedding"].model
+    )
 
 
 def cmd_induce(config, args):
@@ -227,26 +218,16 @@ def cmd_induce(config, args):
 
 
 def cmd_synthesize(config, args):
-    qp_instruction = _load_instruction(config, "QP", required=True)
-    ucot_instruction = _load_instruction(config, "UCoT", required=True)
+    qp_instruction = _load_instruction(config, "QP")
+    ucot_instruction = _load_instruction(config, "UCoT")
     backends = build_backends(config)
     seed = load_seed(config.seed_path)
     pool = load_questions(config.pool_path)
     seed_by_id = {e.instance.id: e for e in seed}
-    index = build_index(
-        seed, backends["embedding"].embed, encoder=config.profiles["embedding"].model
-    )
-    save_index(index, _index_path(config))
+    index = _seed_index(config, backends, seed)
+    index_path = config.workdir / "index.bin"
+    save_index(index, index_path)
 
-    out_path = config.workdir / "synthesized.jsonl"
-    existing = []
-    if out_path.exists():
-        existing = [
-            record_from_json(json.loads(line))
-            for line in out_path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
-    skip_ids = {r.instance.id for r in existing}
     k = args.k if args.k is not None else config.k
     records, errors = synthesize_batch(
         pool,
@@ -258,14 +239,11 @@ def cmd_synthesize(config, args):
         k=k,
         params=_gen_params(config),
         leave_one_out=config.leave_one_out,
-        skip_ids=skip_ids,
         workers=config.workers,
     )
-    merged = sorted(existing + records, key=lambda r: r.instance.id)
-    save_jsonl(out_path, (record_to_json(r) for r in merged))
-    if errors:
-        errors_path = config.workdir / "logs" / "synthesize_errors.jsonl"
-        save_jsonl(errors_path, errors)
+    out_path = config.workdir / "synthesized.jsonl"
+    save_jsonl(out_path, (record_to_json(r) for r in records))
+    save_jsonl(config.workdir / "logs" / "synthesize_errors.jsonl", errors)
     write_run_stats(config, "synthesize", backends)
     inputs = {
         "seed": config.seed_path,
@@ -273,9 +251,9 @@ def cmd_synthesize(config, args):
         "prompts/QP.txt": _prompt_paths(config, "QP")[0],
         "prompts/UCoT.txt": _prompt_paths(config, "UCoT")[0],
     }
-    write_manifest(config, "synthesize", inputs, [out_path, _index_path(config)])
-    ok = sum(1 for r in merged if r.parse_status == "ok")
-    print(f"synthesized {len(merged)} records ({ok} parsed clean) -> {out_path}")
+    write_manifest(config, "synthesize", inputs, [out_path, index_path])
+    ok = sum(1 for r in records if r.parse_status == "ok")
+    print(f"synthesized {len(records)} records ({ok} parsed clean) -> {out_path}")
     return 0
 
 
@@ -285,6 +263,7 @@ def _filtered_path(config, strategy):
 
 def cmd_filter(config, args):
     synth_path = _require(config.workdir / "synthesized.jsonl", "synthesize")
+    instruction = _load_instruction(config, "UCoT")
     backends = build_backends(config)
     seed = load_seed(config.seed_path)
     seed_by_id = {e.instance.id: e for e in seed}
@@ -293,11 +272,8 @@ def cmd_filter(config, args):
         for line in synth_path.read_text(encoding="utf-8").splitlines()
         if line.strip()
     ]
-    index = build_index(
-        seed, backends["embedding"].embed, encoder=config.profiles["embedding"].model
-    )
+    index = _seed_index(config, backends, seed)
     strategies = STRATEGIES if args.strategy is None else (args.strategy,)
-    instruction = _load_instruction(config, "UCoT", required=False)
     result = run_filter(
         records,
         index,
@@ -319,9 +295,12 @@ def cmd_filter(config, args):
     save_jsonl(audit_path, (o.to_json() for o in result.outcomes))
     outputs.append(audit_path)
     write_run_stats(config, "filter", backends)
-    write_manifest(
-        config, "filter", {"synthesized": synth_path, "seed": config.seed_path}, outputs
-    )
+    inputs = {
+        "synthesized": synth_path,
+        "seed": config.seed_path,
+        "prompts/UCoT.txt": _prompt_paths(config, "UCoT")[0],
+    }
+    write_manifest(config, "filter", inputs, outputs)
     sizes = ", ".join(f"{s}={len(result.kept[s])}" for s in strategies)
     print(f"filtered {len(records)} records -> kept {sizes}; audit -> {audit_path}")
     return 0
@@ -359,7 +338,7 @@ def cmd_infer(config, args):
             f"inference instances must carry CoT text; missing for ids {missing_cot[:5]}"
             + ("..." if len(missing_cot) > 5 else "")
         )
-    index = _load_or_build_index(config, backends, seed)
+    index = _seed_index(config, backends, seed)
     bindings = {
         agent: AgentBinding(agent=agent, backend=backends[agent]) for agent in AGENTS
     }

@@ -194,10 +194,8 @@ def synthesize(instance, index, seed_by_id, backend, qp_instruction=None,
 
 def synthesize_batch(pool, index, seed_by_id, backend, qp_instruction=None,
                      ucot_instruction=None, k=5, params=None, leave_one_out=True,
-                     skip_ids=None, workers=4):
+                     workers=4):
     """Synthesize a pool concurrently; returns (records sorted by id, errors)."""
-    skip = set(skip_ids or ())
-    todo = [x for x in pool if x.id not in skip]
     records = []
     errors = []
 
@@ -209,7 +207,7 @@ def synthesize_batch(pool, index, seed_by_id, backend, qp_instruction=None,
         )
 
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool_exec:
-        futures = {pool_exec.submit(job, x): x for x in todo}
+        futures = {pool_exec.submit(job, x): x for x in pool}
         for future, instance in futures.items():
             try:
                 records.append(future.result())

@@ -255,6 +255,22 @@ def test_http_generate_parses_chat_response():
     assert payload["messages"][0]["role"] == "user"
 
 
+def test_http_null_chat_content_is_backend_error_and_not_cached(tmp_path):
+    profile = BackendProfile(kind="http", endpoint="https://example.test/v1", model="remote")
+    calls = []
+
+    def transport(url, payload):
+        calls.append(url)
+        return {"choices": [{"message": {"content": None}}]}
+
+    for attempt in (1, 2):
+        backend = CachingBackend(HttpBackend(profile, transport=transport), cache_dir=tmp_path)
+        with pytest.raises(BackendError, match="malformed chat response"):
+            backend.generate(_user("hi"), PARAMS)
+        assert len(calls) == attempt
+    assert not list(tmp_path.rglob("*.json"))
+
+
 def test_http_reward_replayed_from_cassette(tmp_path):
     """The recorded fixture value comes back over the wire format with zero network."""
     cassette_path = tmp_path / "reward.json"

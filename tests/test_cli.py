@@ -8,6 +8,8 @@ from conftest import (
     make_example,
     write_jsonl,
 )
+from tracedistill import backends as backends_module
+from tracedistill import prompts
 from tracedistill.backends import CassetteTransport, build_reward_payload
 from tracedistill.cli import main
 from tracedistill.corpus import instance_to_json, seed_to_json, trace_to_json
@@ -222,7 +224,8 @@ def test_filter_audit_shows_exact_average_for_recorded_rewards(tmp_path):
         },
     )
     workdir = tmp_path / "work"
-    workdir.mkdir()
+    (workdir / "prompts").mkdir(parents=True)
+    (workdir / "prompts" / "UCoT.txt").write_text(prompts.UCOT_INSTRUCTION + "\n", encoding="utf-8")
 
     gold = gold_example("pool-fixture")
     record = SynthesizedRecord(
@@ -293,3 +296,97 @@ def test_infer_rejects_pool_without_cot(tmp_path, capsys):
     assert main(["infer", "--config", str(config)]) == 5
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "CascadeError"
+
+
+def _read_jsonl(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_infer_embeds_the_current_seed_file_not_index_bin(tmp_path):
+    config = make_config(tmp_path)
+    assert main(["induce", "--config", str(config)]) == 0
+    assert main(["synthesize", "--config", str(config)]) == 0
+    renamed = [
+        seed_to_json(make_example(f"renamed-{i}", n_steps=2 + i % 2)) for i in range(5)
+    ]
+    write_jsonl(tmp_path / "seed.jsonl", renamed)
+    assert main(["infer", "--config", str(config)]) == 0
+
+
+def test_synthesize_output_follows_the_current_pool(tmp_path):
+    config = make_config(tmp_path)
+    workdir = tmp_path / "work"
+    assert main(["induce", "--config", str(config)]) == 0
+    assert main(["synthesize", "--config", str(config)]) == 0
+    pool = _read_jsonl(tmp_path / "pool.jsonl")[:3]
+    write_jsonl(tmp_path / "pool.jsonl", pool)
+    assert main(["synthesize", "--config", str(config)]) == 0
+    written = [r["id"] for r in _read_jsonl(workdir / "synthesized.jsonl")]
+    assert written == [r["id"] for r in pool]
+
+
+def test_synthesize_regenerates_after_prompt_edit(tmp_path):
+    config = make_config(tmp_path)
+    workdir = tmp_path / "work"
+    assert main(["induce", "--config", str(config)]) == 0
+    assert main(["synthesize", "--config", str(config)]) == 0
+    qp_path = workdir / "prompts" / "QP.txt"
+    qp_path.write_text("List every condition the problem states.\n", encoding="utf-8")
+    assert main(["synthesize", "--config", str(config)]) == 0
+    stats = json.loads((workdir / "logs" / "synthesize_stats.json").read_text(encoding="utf-8"))
+    assert stats["backend_calls"] > 0
+
+
+def test_synthesize_clears_error_log_of_an_earlier_run(tmp_path):
+    config = make_config(tmp_path)
+    errors_path = tmp_path / "work" / "logs" / "synthesize_errors.jsonl"
+    assert main(["induce", "--config", str(config)]) == 0
+    errors_path.parent.mkdir(parents=True, exist_ok=True)
+    errors_path.write_text('{"id": "pool-00", "error": "stale"}\n', encoding="utf-8")
+    assert main(["synthesize", "--config", str(config)]) == 0
+    assert errors_path.read_text(encoding="utf-8") == ""
+
+
+def test_filter_requires_and_declares_the_induced_ucot_prompt(tmp_path, capsys):
+    config = make_config(tmp_path)
+    workdir = tmp_path / "work"
+    assert main(["induce", "--config", str(config)]) == 0
+    assert main(["synthesize", "--config", str(config)]) == 0
+    assert main(["filter", "--config", str(config)]) == 0
+    manifest = json.loads((workdir / "manifests" / "filter.json").read_text(encoding="utf-8"))
+    assert "prompts/UCoT.txt" in manifest["inputs"]
+    capsys.readouterr()
+    (workdir / "prompts" / "UCoT.txt").unlink()
+    assert main(["filter", "--config", str(config)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "MissingArtifactError"
+    assert "induce" in err["error"]["message"]
+
+
+def test_null_chat_completion_is_a_backend_failure_and_never_cached(
+    tmp_path, capsys, monkeypatch
+):
+    requests = []
+
+    def transport(url, payload):
+        requests.append(url)
+        return {"choices": [{"message": {"role": "assistant", "content": None}}]}
+
+    monkeypatch.setattr(backends_module, "RequestsTransport", lambda *args: transport)
+    config = make_config(
+        tmp_path,
+        backend_overrides={
+            "generation": {"kind": "http", "model": "remote", "endpoint": "https://gen.test/v1"}
+        },
+    )
+    assert main(["infer", "--config", str(config)]) == 6
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "BackendError"
+    first = len(requests)
+    assert first > 0
+    assert main(["infer", "--config", str(config)]) == 6
+    assert len(requests) > first
+    cached = [
+        json.loads(path.read_text(encoding="utf-8"))["result"]
+        for path in (tmp_path / "work" / "cache").rglob("*.json")
+    ]
+    assert None not in cached

@@ -238,17 +238,6 @@ def test_synthesize_batch_rerun_is_identical():
     assert [r.instance.id for r in first] == sorted(r.instance.id for r in first)
 
 
-def test_synthesize_batch_skips_already_done():
-    _, seed_by_id, index, _ = _hits_and_seeds()
-    pool = [gold_instance("pool-1"), gold_instance("pool-2")]
-    pool[1].question += " second variant"
-    backend = CachingBackend(MockBackend())
-    records, _ = synthesize_batch(
-        pool, index, seed_by_id, backend, k=2, skip_ids={"pool-1"}, workers=2
-    )
-    assert [r.instance.id for r in records] == ["pool-2"]
-
-
 def test_record_json_round_trip():
     _, seed_by_id, index, _ = _hits_and_seeds()
     backend = CachingBackend(MockBackend())
