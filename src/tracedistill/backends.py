@@ -505,8 +505,10 @@ class HttpBackend(Backend):
         resp = self.transport(self._url("/embeddings"), payload)
         try:
             vec = np.asarray(resp["data"][0]["embedding"], dtype=float)
-        except (KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed embeddings response: {resp!r}") from exc
+        if vec.ndim != 1 or not vec.size or not np.isfinite(vec).all():
+            raise BackendError(f"embedding is not a finite non-empty vector: {resp!r}")
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             raise BackendError("embedding has zero norm")

@@ -29,13 +29,7 @@ from dataclasses import dataclass, field
 
 from . import prompts
 from .backends import ChatMessage, GenParams
-from .corpus import (
-    SchemaError,
-    canonicalize_verification,
-    instance_to_json,
-    save_jsonl,
-    verification_str,
-)
+from .corpus import SchemaError, canonicalize_verification, save_jsonl, verification_str
 from .prompts import demo_pairs_full
 from .retrieval import top_k
 from .synthesis import extract_json
@@ -53,16 +47,6 @@ REPROMPT_SUFFIX = (
 
 class CascadeError(Exception):
     pass
-
-
-@dataclass
-class AgentBinding:
-    agent: str
-    backend: object
-
-    def __post_init__(self):
-        if self.agent not in AGENTS:
-            raise CascadeError(f"unknown agent {self.agent!r}; expected one of {AGENTS}")
 
 
 @dataclass
@@ -89,7 +73,7 @@ class CascadeOutput:
     flags: list[str] = field(default_factory=list)
 
 
-def run_stage(subtask, instruction, query, demos, binding, params, problem=None):
+def run_stage(subtask, instruction, query, demos, backend, params, problem=None):
     """Render one stage's prompt, generate, and extract its JSON array.
 
     Returns (array or None, StageResult). When `problem(array)` names a
@@ -102,7 +86,7 @@ def run_stage(subtask, instruction, query, demos, binding, params, problem=None)
     text = stage.prompt
     value = None
     for attempt in range(2):
-        raw = binding.backend.generate([ChatMessage(role="user", content=text)], params)
+        raw = backend.generate([ChatMessage(role="user", content=text)], params)
         stage.raw.append(raw)
         found = extract_json(raw)
         if found is not None and isinstance(found[0], list):
@@ -128,29 +112,29 @@ def _no_strings(value):
     return None if _strings(value) else "no non-empty JSON array of strings found"
 
 
-def _string_stage(subtask, instruction, query, demos, binding, params):
-    value, stage = run_stage(subtask, instruction, query, demos, binding, params, _no_strings)
+def _string_stage(subtask, instruction, query, demos, backend, params):
+    value, stage = run_stage(subtask, instruction, query, demos, backend, params, _no_strings)
     items = _strings(value)
     stage.failed = not items
     return items, stage
 
 
-def parse_question(instance, demos, binding, params):
+def parse_question(instance, demos, backend, params):
     """Stage 1: extract the condition list; one reprompt, then a flagged
     empty list."""
     query = prompts.question_block(instance)
-    return _string_stage("QP", prompts.QP_INSTRUCTION, query, demos, binding, params)
+    return _string_stage("QP", prompts.QP_INSTRUCTION, query, demos, backend, params)
 
 
-def decompose_cot(instance, demos, binding, params):
+def decompose_cot(instance, demos, backend, params):
     """Stage 2: split the chain of thought into ordered statements."""
     if not instance.cot or not instance.cot.strip():
         raise CascadeError(f"instance {instance.id!r} carries no CoT text to decompose")
     query = prompts.question_block(instance, cot=True)
-    return _string_stage("CP", prompts.CP_INSTRUCTION, query, demos, binding, params)
+    return _string_stage("CP", prompts.CP_INSTRUCTION, query, demos, backend, params)
 
 
-def extract_evidence(instance, statements, demos, binding, params):
+def extract_evidence(instance, statements, demos, backend, params):
     """Stage 3: one evidence string per statement, order-aligned.
 
     A count mismatch triggers one reprompt naming the expected count; any
@@ -167,7 +151,7 @@ def extract_evidence(instance, statements, demos, binding, params):
 
     query = prompts.verifier_query(instance, statements)
     value, stage = run_stage(
-        "CV_evidence", prompts.CV_EVIDENCE_INSTRUCTION, query, demos, binding, params, problem
+        "CV_evidence", prompts.CV_EVIDENCE_INSTRUCTION, query, demos, backend, params, problem
     )
     evidence = [str(e) for e in (value or [])[: len(statements)]]
     flags = [f"evidence_missing:{slot + 1}" for slot in range(len(evidence), len(statements))]
@@ -175,7 +159,7 @@ def extract_evidence(instance, statements, demos, binding, params):
     return evidence, stage, flags
 
 
-def verify_steps(instance, statements, evidence, demos, binding, params):
+def verify_steps(instance, statements, evidence, demos, backend, params):
     """Stage 4: one boolean verdict per aligned (statement, evidence) pair.
 
     Unparseable or missing verdicts default to False and are flagged.
@@ -188,7 +172,7 @@ def verify_steps(instance, statements, evidence, demos, binding, params):
         return [], stage, []
     query = prompts.verifier_query(instance, statements, evidence)
     values, stage = run_stage(
-        "CV_verify", prompts.CV_VERIFY_INSTRUCTION, query, demos, binding, params
+        "CV_verify", prompts.CV_VERIFY_INSTRUCTION, query, demos, backend, params
     )
     verdicts = []
     flags = []
@@ -203,15 +187,17 @@ def verify_steps(instance, statements, evidence, demos, binding, params):
 
 
 class CascadePipeline:
-    """Wire the three agents over one shared retrieval pass per instance."""
+    """Wire the three agents over one shared retrieval pass per instance.
 
-    def __init__(self, bindings, index, seed_by_id, k=5, params=None,
-                 verify_binding=None):
-        missing = [a for a in AGENTS if a not in bindings]
+    `backends` maps every name in AGENTS to a backend; the Verifier's runs
+    both its evidence and its verify pass.
+    """
+
+    def __init__(self, backends, index, seed_by_id, k=5, params=None):
+        missing = [a for a in AGENTS if a not in backends]
         if missing:
-            raise CascadeError(f"missing agent bindings: {missing}")
-        self.bindings = bindings
-        self.verify_binding = verify_binding or bindings[VERIFIER]
+            raise CascadeError(f"missing agent backends: {missing}")
+        self.backends = backends
         self.index = index
         self.seed_by_id = seed_by_id
         self.k = k
@@ -222,25 +208,25 @@ class CascadePipeline:
         demos = demo_pairs_full(hits, self.seed_by_id)
         flags = []
 
-        qp, qp_stage = parse_question(instance, demos, self.bindings[PARSER], self.params)
+        qp, qp_stage = parse_question(instance, demos, self.backends[PARSER], self.params)
         if qp_stage.failed:
             flags.append("parser_failed")
 
         statements, cp_stage = decompose_cot(
-            instance, demos, self.bindings[DECOMPOSER], self.params
+            instance, demos, self.backends[DECOMPOSER], self.params
         )
         if cp_stage.failed:
             flags.append("decomposer_failed")
 
         if statements:
             evidence, ev_stage, ev_flags = extract_evidence(
-                instance, statements, demos, self.bindings[VERIFIER], self.params
+                instance, statements, demos, self.backends[VERIFIER], self.params
             )
             flags.extend(ev_flags)
             if ev_stage.failed:
                 flags.append("evidence_failed")
             verdicts, vf_stage, vf_flags = verify_steps(
-                instance, statements, evidence, demos, self.verify_binding, self.params
+                instance, statements, evidence, demos, self.backends[VERIFIER], self.params
             )
             flags.extend(vf_flags)
             if vf_stage.failed:
@@ -274,26 +260,23 @@ class CascadePipeline:
         return outputs
 
 
-def output_to_prediction(output, instance=None):
+def output_to_prediction(output):
     """Submission-schema record: question_parsing plus cot_parsing steps."""
-    row = {"id": output.instance_id}
-    if instance is not None:
-        row.update({k: v for k, v in instance_to_json(instance).items() if k != "id"})
-    row["question_parsing"] = list(output.qp)
-    row["cot_parsing"] = [
-        {
-            "statement": statement,
-            "evidence": evidence,
-            "verification": verification_str(verdict),
-        }
-        for statement, evidence, verdict in zip(output.statements, output.evidence, output.verdicts)
-    ]
-    return row
+    return {
+        "id": output.instance_id,
+        "question_parsing": list(output.qp),
+        "cot_parsing": [
+            {
+                "statement": statement,
+                "evidence": evidence,
+                "verification": verification_str(verdict),
+            }
+            for statement, evidence, verdict in zip(
+                output.statements, output.evidence, output.verdicts
+            )
+        ],
+    }
 
 
-def write_predictions(path, outputs, instances_by_id=None):
-    instances_by_id = instances_by_id or {}
-    save_jsonl(
-        path,
-        (output_to_prediction(o, instances_by_id.get(o.instance_id)) for o in outputs),
-    )
+def write_predictions(path, outputs):
+    save_jsonl(path, (output_to_prediction(o) for o in outputs))

@@ -1,13 +1,15 @@
 """Command-line entry point: the pipeline stages as subcommands.
 
     tracedistill induce     --config cfg.json
-    tracedistill synthesize --config cfg.json [--k 5]
-    tracedistill filter     --config cfg.json [--strategy average]
-    tracedistill export     --config cfg.json [--strategy average] [--subtask CV]
-    tracedistill infer      --config cfg.json [--k 5] [--out predictions.jsonl]
+    tracedistill synthesize --config cfg.json
+    tracedistill filter     --config cfg.json
+    tracedistill export     --config cfg.json [--strategy average]
+    tracedistill infer      --config cfg.json [--out predictions.jsonl]
     tracedistill eval       --config cfg.json [--pred ...] [--gold ...]
     tracedistill stats      --config cfg.json [--data file.jsonl | --strategy few]
 
+Retrieval depth comes only from the config's `k`; filter writes every
+strategy's dataset and export all three subtask files of its strategy.
 Every run writes a manifest (config hash, input hashes, output hashes,
 format versions) under <workdir>/manifests/ and call-count diagnostics
 under <workdir>/logs/. Manifests contain no timestamps: rerunning a
@@ -30,7 +32,7 @@ from pathlib import Path
 
 from . import __version__
 from .backends import CACHE_SCHEMA_VERSION, BackendError, ConfigError, GenParams
-from .cascade import AGENTS, AgentBinding, CascadeError, CascadePipeline, write_predictions
+from .cascade import CascadeError, CascadePipeline, write_predictions
 from .config import CONFIG_SCHEMA_VERSION, build_backends, load_config
 from .corpus import (
     SFT_HEADER,
@@ -228,7 +230,6 @@ def cmd_synthesize(config, args):
     index_path = config.workdir / "index.bin"
     save_index(index, index_path)
 
-    k = args.k if args.k is not None else config.k
     records, errors = synthesize_batch(
         pool,
         index,
@@ -236,7 +237,7 @@ def cmd_synthesize(config, args):
         backends["generation"],
         qp_instruction=qp_instruction,
         ucot_instruction=ucot_instruction,
-        k=k,
+        k=config.k,
         params=_gen_params(config),
         leave_one_out=config.leave_one_out,
         workers=config.workers,
@@ -273,7 +274,6 @@ def cmd_filter(config, args):
         if line.strip()
     ]
     index = _seed_index(config, backends, seed)
-    strategies = STRATEGIES if args.strategy is None else (args.strategy,)
     result = run_filter(
         records,
         index,
@@ -283,11 +283,10 @@ def cmd_filter(config, args):
         threshold=config.reward_threshold,
         instruction=instruction,
         leave_one_out=config.leave_one_out,
-        strategies=strategies,
         workers=config.workers,
     )
     outputs = []
-    for strategy in strategies:
+    for strategy in STRATEGIES:
         path = _filtered_path(config, strategy)
         save_jsonl(path, (seed_to_json(to_training_example(r)) for r in result.kept[strategy]))
         outputs.append(path)
@@ -301,7 +300,7 @@ def cmd_filter(config, args):
         "prompts/UCoT.txt": _prompt_paths(config, "UCoT")[0],
     }
     write_manifest(config, "filter", inputs, outputs)
-    sizes = ", ".join(f"{s}={len(result.kept[s])}" for s in strategies)
+    sizes = ", ".join(f"{s}={len(result.kept[s])}" for s in STRATEGIES)
     print(f"filtered {len(records)} records -> kept {sizes}; audit -> {audit_path}")
     return 0
 
@@ -310,15 +309,14 @@ def cmd_export(config, args):
     strategy = args.strategy or config.strategy
     filtered = _require(_filtered_path(config, strategy), "filter")
     examples = [] if _file_is_empty(filtered) else load_seed(filtered)
-    subtasks = [args.subtask] if args.subtask else list(SUBTASKS)
     outputs = []
     counts = {}
-    for subtask in subtasks:
+    for subtask in SUBTASKS:
         path = config.workdir / "sft" / f"{strategy}_{subtask}.jsonl"
         counts[subtask] = export_sft(examples, subtask, path)
         outputs.append(path)
     write_manifest(config, "export", {"filtered": filtered}, outputs)
-    rendered = ", ".join(f"{s}: {counts[s]} lines" for s in subtasks)
+    rendered = ", ".join(f"{s}: {counts[s]} lines" for s in SUBTASKS)
     print(f"exported strategy {strategy} ({rendered}) -> {config.workdir / 'sft'}")
     return 0
 
@@ -339,19 +337,8 @@ def cmd_infer(config, args):
             + ("..." if len(missing_cot) > 5 else "")
         )
     index = _seed_index(config, backends, seed)
-    bindings = {
-        agent: AgentBinding(agent=agent, backend=backends[agent]) for agent in AGENTS
-    }
-    verify_binding = None
-    if backends["verifier_verify"] is not backends["verifier"]:
-        verify_binding = AgentBinding(agent="verifier", backend=backends["verifier_verify"])
     pipeline = CascadePipeline(
-        bindings,
-        index,
-        seed_by_id,
-        k=args.k if args.k is not None else config.k,
-        params=_gen_params(config),
-        verify_binding=verify_binding,
+        backends, index, seed_by_id, k=config.k, params=_gen_params(config)
     )
     outputs = pipeline.run_batch(instances, workers=config.workers)
     out_path = Path(args.out) if args.out else config.workdir / "predictions.jsonl"
@@ -437,19 +424,13 @@ def build_parser():
 
     add("induce", "induce task prompts from the seed set")
 
-    p = add("synthesize", "synthesize QP/UCoT annotations for the question pool")
-    p.add_argument("--k", type=int, default=None, help="retrieval depth override")
+    add("synthesize", "synthesize QP/UCoT annotations for the question pool")
+    add("filter", "structural + reward filtering into every strategy's dataset")
 
-    p = add("filter", "structural + reward filtering of synthesized records")
-    p.add_argument("--strategy", choices=STRATEGIES, default=None,
-                   help="emit a single strategy's dataset (default: all)")
-
-    p = add("export", "write SFT training files for a filtered dataset")
+    p = add("export", "write the QP/CP/CV SFT training files for a filtered dataset")
     p.add_argument("--strategy", choices=STRATEGIES, default=None)
-    p.add_argument("--subtask", choices=SUBTASKS, default=None)
 
     p = add("infer", "run the Parser/Decomposer/Verifier cascade on a test file")
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", default=None, help="prediction file (default: workdir)")
 
     p = add("eval", "score predictions against a gold file")

@@ -3,8 +3,8 @@
 Relative paths in the config resolve against the config file's directory,
 so a config can travel with its data. Backend profiles are declared per
 role (generation, embedding, reward, judge, and optionally one per cascade
-agent); every backend is wrapped in the shared on-disk cache under the
-working directory.
+agent; any other role is a config error); every backend is wrapped in the
+shared on-disk cache under the working directory.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .backends import BackendProfile, ConfigError, make_backend
+from .cascade import AGENTS
 from .evalharness import EvalError, MatchPolicy
 from .filtering import STRATEGIES
 
 CONFIG_SCHEMA_VERSION = 1
 REQUIRED_ROLES = ("generation", "embedding", "reward", "judge")
-# agent roles default to the generation profile; "verifier_verify" lets the
-# verification pass run on a different backend than the evidence pass
-AGENT_ROLES = ("parser", "decomposer", "verifier", "verifier_verify")
 
 
 @dataclass
@@ -109,14 +107,16 @@ def load_config(path):
         raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
     backends_raw = raw.get("backends") or {}
-    profiles = {}
     for role in REQUIRED_ROLES:
         if role not in backends_raw:
             raise ConfigError(f"backends.{role} is required")
-        profiles[role] = _parse_profile(role, backends_raw[role])
-    for role in AGENT_ROLES:
-        if role in backends_raw:
-            profiles[role] = _parse_profile(role, backends_raw[role])
+    profiles = {}
+    for role, profile in backends_raw.items():
+        if role not in REQUIRED_ROLES + AGENTS:
+            raise ConfigError(
+                f"unknown backend role {role!r}; expected one of {REQUIRED_ROLES + AGENTS}"
+            )
+        profiles[role] = _parse_profile(role, profile)
 
     return RunConfig(
         seed=int(raw.get("seed", 0)),
@@ -148,7 +148,6 @@ def build_backends(config):
     for role, profile in config.profiles.items():
         cache_dir = profile.cache_dir or str(config.workdir / "cache" / role)
         backends[role] = make_backend(profile, cache_dir=cache_dir)
-    for role in ("parser", "decomposer", "verifier"):
+    for role in AGENTS:
         backends.setdefault(role, backends["generation"])
-    backends.setdefault("verifier_verify", backends["verifier"])
     return backends

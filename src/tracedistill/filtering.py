@@ -163,8 +163,7 @@ class FilterResult:
 
 
 def run_filter(records, index, seed_by_id, reward_backend, k=5,
-               threshold=0.0, instruction=None, leave_one_out=True,
-               strategies=STRATEGIES, workers=4):
+               threshold=0.0, instruction=None, leave_one_out=True, workers=4):
     """Structural stage, reward stage, strategy subsets, audit trail.
 
     Reward calls happen only for structural survivors; scoring failures
@@ -178,42 +177,37 @@ def run_filter(records, index, seed_by_id, reward_backend, k=5,
         if outcome.decision == "keep":
             survivors.append(record)
 
-    need_scores = any(s != STRATEGY_STRUCTURE for s in strategies)
+    def job(record):
+        exclude = {record.instance.id} if leave_one_out else None
+        hits = top_k(index, record.instance.question, k, exclude=exclude)
+        return score_record(record, hits, seed_by_id, reward_backend, instruction)
+
+    results = {}
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        futures = {pool.submit(job, r): r for r in survivors}
+        for future, record in futures.items():
+            try:
+                results[record.instance.id] = future.result()
+            except BackendError as exc:
+                log.warning("reward scoring failed for %s: %s", record.instance.id, exc)
+                results[record.instance.id] = None
     scored = []
-    if need_scores and survivors:
-        def job(record):
-            exclude = {record.instance.id} if leave_one_out else None
-            hits = top_k(index, record.instance.question, k, exclude=exclude)
-            return score_record(record, hits, seed_by_id, reward_backend, instruction)
-
-        results = {}
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            futures = {pool.submit(job, r): r for r in survivors}
-            for future, record in futures.items():
-                try:
-                    results[record.instance.id] = future.result()
-                except BackendError as exc:
-                    log.warning("reward scoring failed for %s: %s", record.instance.id, exc)
-                    results[record.instance.id] = None
-        for record in survivors:
-            record.rewards = results[record.instance.id]
-            if record.rewards is not None:
-                scored.append(record)
-            else:
-                outcomes.append(
-                    FilterOutcome(
-                        record_id=record.instance.id,
-                        stage=STAGE_REWARD,
-                        decision="drop",
-                        reason=REASON_UNSCORED,
-                    )
+    for record in survivors:
+        record.rewards = results[record.instance.id]
+        if record.rewards is not None:
+            scored.append(record)
+        else:
+            outcomes.append(
+                FilterOutcome(
+                    record_id=record.instance.id,
+                    stage=STAGE_REWARD,
+                    decision="drop",
+                    reason=REASON_UNSCORED,
                 )
+            )
 
-    kept = {}
-    for strategy in strategies:
-        if strategy == STRATEGY_STRUCTURE:
-            kept[strategy] = list(survivors)
-            continue
+    kept = {STRATEGY_STRUCTURE: list(survivors)}
+    for strategy in (STRATEGY_ZERO, STRATEGY_FEW, STRATEGY_AVERAGE):
         subset = apply_strategy(scored, strategy, threshold)
         kept_ids = {r.instance.id for r in subset}
         for record in scored:

@@ -26,7 +26,7 @@ from test_cli import make_config
 
 from tracedistill import prompts
 from tracedistill.backends import CachingBackend, MockBackend
-from tracedistill.cascade import AGENTS, AgentBinding, CascadePipeline, write_predictions
+from tracedistill.cascade import AGENTS, CascadePipeline, write_predictions
 from tracedistill.cli import main
 from tracedistill.corpus import compute_stats, export_sft, trace_to_json
 from tracedistill.evalharness import MatchPolicy, _pair_tuple, evaluate, match_steps
@@ -261,7 +261,7 @@ def test_acceptance_gold_record_end_to_end(tmp_path):
     seed_by_id = {e.instance.id: e for e in seeds}
     index = build_index(seeds, MockBackend(embed_dim=16).embed)
     backend = CachingBackend(MockBackend(script=script))
-    bindings = {agent: AgentBinding(agent, backend) for agent in AGENTS}
+    bindings = dict.fromkeys(AGENTS, backend)
     pipeline = CascadePipeline(bindings, index, seed_by_id, k=2)
 
     output = pipeline.run(gold_instance("gold-1"))

@@ -271,6 +271,23 @@ def test_http_null_chat_content_is_backend_error_and_not_cached(tmp_path):
     assert not list(tmp_path.rglob("*.json"))
 
 
+@pytest.mark.parametrize("embedding", [None, [1.0, float("nan")], []])
+def test_http_non_finite_embedding_is_backend_error_and_not_cached(tmp_path, embedding):
+    profile = BackendProfile(kind="http", endpoint="https://example.test/v1", model="remote")
+    calls = []
+
+    def transport(url, payload):
+        calls.append(url)
+        return {"data": [{"embedding": embedding}]}
+
+    for attempt in (1, 2):
+        backend = CachingBackend(HttpBackend(profile, transport=transport), cache_dir=tmp_path)
+        with pytest.raises(BackendError, match="embedding"):
+            backend.embed("a question")
+        assert len(calls) == attempt
+    assert not list(tmp_path.rglob("*.json"))
+
+
 def test_http_reward_replayed_from_cassette(tmp_path):
     """The recorded fixture value comes back over the wire format with zero network."""
     cassette_path = tmp_path / "reward.json"

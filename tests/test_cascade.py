@@ -13,7 +13,6 @@ from tracedistill import prompts
 from tracedistill.backends import CachingBackend, GenParams, MockBackend
 from tracedistill.cascade import (
     AGENTS,
-    AgentBinding,
     CascadeError,
     CascadePipeline,
     decompose_cot,
@@ -44,8 +43,7 @@ def _pipeline(script=None, backend=None, k=2):
     embedder = MockBackend(embed_dim=16)
     index = build_index(seeds, embedder.embed)
     backend = backend or CachingBackend(MockBackend(script=script or {}))
-    bindings = {agent: AgentBinding(agent=agent, backend=backend) for agent in AGENTS}
-    return CascadePipeline(bindings, index, seed_by_id, k=k), embedder
+    return CascadePipeline(dict.fromkeys(AGENTS, backend), index, seed_by_id, k=k), embedder
 
 
 def test_gold_pipeline_reproduces_gold_record():
@@ -180,24 +178,7 @@ def test_missing_binding_rejected():
     seeds = [make_example("s")]
     index = build_index(seeds, MockBackend(embed_dim=8).embed)
     with pytest.raises(CascadeError):
-        CascadePipeline({"parser": AgentBinding("parser", MockBackend())}, index, {})
-
-
-def test_agent_binding_rejects_unknown_agent():
-    with pytest.raises(CascadeError):
-        AgentBinding(agent="oracle", backend=MockBackend())
-
-
-def test_separate_verify_binding_allowed():
-    seeds = [make_example(f"seed-{i}", n_steps=2) for i in range(2)]
-    seed_by_id = {e.instance.id: e for e in seeds}
-    index = build_index(seeds, MockBackend(embed_dim=8).embed)
-    shared = CachingBackend(MockBackend(script=_gold_script()))
-    verify_only = AgentBinding("verifier", CachingBackend(MockBackend(script=_gold_script(), model="verify-2")))
-    bindings = {agent: AgentBinding(agent, shared) for agent in AGENTS}
-    pipeline = CascadePipeline(bindings, index, seed_by_id, k=1, verify_binding=verify_only)
-    output = pipeline.run(gold_instance("t"))
-    assert output.verdicts == GOLD_VERDICTS
+        CascadePipeline({"parser": MockBackend()}, index, {})
 
 
 def test_write_predictions_schema(tmp_path):
@@ -222,7 +203,7 @@ def test_decompose_cot_direct_precondition():
     instance = gold_instance("x")
     instance.cot = "   "
     with pytest.raises(CascadeError):
-        decompose_cot(instance, demos, AgentBinding("decomposer", MockBackend()), GenParams())
+        decompose_cot(instance, demos, MockBackend(), GenParams())
 
 
 def test_hostile_nesting_is_flagged_not_fatal():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import (
     GOLD_REWARD_AVG,
     GOLD_REWARD_FEW,
@@ -11,7 +13,7 @@ from conftest import (
 from tracedistill import backends as backends_module
 from tracedistill import prompts
 from tracedistill.backends import CassetteTransport, build_reward_payload
-from tracedistill.cli import main
+from tracedistill.cli import build_parser, main
 from tracedistill.corpus import instance_to_json, seed_to_json, trace_to_json
 from tracedistill.filtering import build_reward_prompts
 from tracedistill.retrieval import build_index, top_k
@@ -166,7 +168,7 @@ def test_export_cv_lines_match_stats(tmp_path):
     main(["induce", "--config", str(config)])
     main(["synthesize", "--config", str(config)])
     main(["filter", "--config", str(config)])
-    assert main(["export", "--config", str(config), "--strategy", "structure", "--subtask", "CV"]) == 0
+    assert main(["export", "--config", str(config), "--strategy", "structure"]) == 0
     workdir = tmp_path / "work"
     kept = [
         json.loads(line)
@@ -255,7 +257,7 @@ def test_filter_audit_shows_exact_average_for_recorded_rewards(tmp_path):
     cassette.add(url, build_reward_payload("rm", zero, record.ucot_raw), {"score": GOLD_REWARD_ZERO})
     cassette.save()
 
-    assert main(["filter", "--config", str(config_path), "--strategy", "average"]) == 0
+    assert main(["filter", "--config", str(config_path)]) == 0
     audit = [
         json.loads(line)
         for line in (workdir / "filter_audit.jsonl").read_text(encoding="utf-8").splitlines()
@@ -274,14 +276,14 @@ def test_filter_audit_shows_exact_average_for_recorded_rewards(tmp_path):
 def test_infer_with_separate_verify_backend(tmp_path):
     config = make_config(
         tmp_path,
-        backend_overrides={"verifier_verify": _mock_profile("verify-pass-mock")},
+        backend_overrides={"verifier": _mock_profile("verifier-mock")},
     )
     assert main(["infer", "--config", str(config)]) == 0
     stats = json.loads(
         (tmp_path / "work" / "logs" / "infer_stats.json").read_text(encoding="utf-8")
     )
-    verify_stats = stats["backends"]["verifier_verify"]
-    assert verify_stats["model"] == "verify-pass-mock"
+    verify_stats = stats["backends"]["verifier"]
+    assert verify_stats["model"] == "verifier-mock"
     assert verify_stats["inner_calls"]["generate"] > 0
 
 
@@ -390,3 +392,27 @@ def test_null_chat_completion_is_a_backend_failure_and_never_cached(
         for path in (tmp_path / "work" / "cache").rglob("*.json")
     ]
     assert None not in cached
+
+
+@pytest.mark.parametrize("role", ["verifier_verify", "verifer"])
+def test_unknown_backend_role_is_a_config_error(tmp_path, capsys, role):
+    config = make_config(tmp_path, backend_overrides={role: _mock_profile("extra-mock")})
+    assert main(["infer", "--config", str(config)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert role in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synthesize", "--k", "1"],
+        ["infer", "--k", "1"],
+        ["filter", "--strategy", "average"],
+        ["export", "--subtask", "CV"],
+    ],
+)
+def test_removed_run_overrides_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + ["--config", "cfg.json"])
+    assert exc.value.code == 2

@@ -1,0 +1,54 @@
+"""Documented command lines must parse with the real CLI parser.
+
+Every usage line in the `cli` module docstring and every `tracedistill ...`
+line in the README Quickstart is parsed with `build_parser()`: once with
+its required part alone, then once per `[...]` group and per `|`
+alternative inside a group. A flag removed from the parser but left in the
+docs fails here.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from tracedistill import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _quickstart_lines():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    return [line.strip() for line in section.splitlines() if line.strip().startswith("tracedistill ")]
+
+
+def _usage_lines():
+    return [line.strip() for line in cli.__doc__.splitlines() if line.strip().startswith("tracedistill ")]
+
+
+def _variants(line):
+    """The required part alone, then with each optional alternative added."""
+    words = line.split()[1:]
+    text = " ".join(words)
+    base = re.sub(r"\[[^\]]*\]", " ", text).split()
+    yield base
+    for group in re.findall(r"\[([^\]]*)\]", text):
+        for alternative in group.split("|"):
+            yield base + alternative.split()
+
+
+def test_docs_name_every_subcommand():
+    usage = {line.split()[1] for line in _usage_lines()}
+    quickstart = {line.split()[1] for line in _quickstart_lines()}
+    assert usage == quickstart == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("line", _usage_lines() + _quickstart_lines())
+def test_documented_command_line_parses(line):
+    parser = cli.build_parser()
+    for argv in _variants(line):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            pytest.fail(f"documented command {' '.join(argv)!r} does not parse (exit {exc.code})")

@@ -16,7 +16,6 @@ import numpy as np
 from conftest import gold_example, gold_instance, make_example
 from tracedistill.backends import GenParams, MockBackend, messages_payload
 from tracedistill.cascade import (
-    AgentBinding,
     decompose_cot,
     demo_pairs_full,
     extract_evidence,
@@ -121,17 +120,16 @@ def _render_cascade_stage(seeds, stage):
     statements = ["First statement.", "Second statement — with ü."]
     if stage == "parser":
         backend = Recorder(["I cannot answer in JSON.", '["c1"]'])
-        parse_question(instance, demos, AgentBinding("parser", backend), params)
+        parse_question(instance, demos, backend, params)
     elif stage == "decomposer":
         backend = Recorder(['["s1", "s2"]'])
-        decompose_cot(instance, demos, AgentBinding("decomposer", backend), params)
+        decompose_cot(instance, demos, backend, params)
     elif stage == "evidence":
         backend = Recorder(['["only one"]', '["e1", "e2"]'])
-        extract_evidence(instance, statements, demos, AgentBinding("verifier", backend), params)
+        extract_evidence(instance, statements, demos, backend, params)
     else:
         backend = Recorder(['["True", "False"]'])
-        verify_steps(instance, statements, ["e1", "e2"], demos,
-                     AgentBinding("verifier", backend), params)
+        verify_steps(instance, statements, ["e1", "e2"], demos, backend, params)
     return backend.requests
 
 
