@@ -35,9 +35,11 @@ import copy
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -520,13 +522,16 @@ class HttpBackend(Backend):
             raise ValueError("response must be non-empty")
         payload = build_reward_payload(self.model, context, response)
         resp = self.transport(self._url("/chat/completions"), payload)
-        if isinstance(resp, dict) and "score" in resp:
-            return float(resp["score"])
         try:
-            content = resp["choices"][0]["message"]["content"]
-            return float(str(content).strip())
+            if isinstance(resp, dict) and "score" in resp:
+                score = float(resp["score"])
+            else:
+                score = float(str(resp["choices"][0]["message"]["content"]).strip())
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"no reward score in response: {resp!r}") from exc
+        if not math.isfinite(score):
+            raise BackendError(f"reward score is not finite: {resp!r}")
+        return score
 
 
 _MISS = object()
@@ -545,6 +550,7 @@ class CachingBackend(Backend):
         self.model = inner.model
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.retry_budget = retry_budget
+        self.max_inflight = max_inflight
         self._sem = threading.BoundedSemaphore(max_inflight)
         self._mem = {}
         self._lock = threading.Lock()
@@ -646,6 +652,15 @@ class CachingBackend(Backend):
     def reward(self, context, response):
         payload = {"messages": messages_payload(context), "response": response}
         return self._call("reward", payload, lambda: self.inner.reward(context, response))
+
+
+def fan_out(backend, fn, items):
+    """Map ``fn`` over ``items`` in order, ``backend.max_inflight`` at a time.
+
+    A backend without ``max_inflight`` (an uncached fake) runs them serially.
+    """
+    with ThreadPoolExecutor(getattr(backend, "max_inflight", 1)) as pool:
+        return list(pool.map(fn, items))
 
 
 def make_backend(profile, cache_dir=None):

@@ -24,11 +24,10 @@ aligned, schema-valid predictions.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import prompts
-from .backends import ChatMessage, GenParams
+from .backends import ChatMessage, GenParams, fan_out
 from .corpus import SchemaError, canonicalize_verification, save_jsonl, verification_str
 from .prompts import demo_pairs_full
 from .retrieval import top_k
@@ -253,9 +252,9 @@ class CascadePipeline:
             flags=flags,
         )
 
-    def run_batch(self, instances, workers=4):
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            outputs = list(pool.map(self.run, instances))
+    def run_batch(self, instances):
+        # every instance starts with the Parser; by default all agents share its backend
+        outputs = fan_out(self.backends[PARSER], self.run, instances)
         outputs.sort(key=lambda o: o.instance_id)
         return outputs
 

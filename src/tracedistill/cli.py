@@ -198,7 +198,6 @@ def cmd_induce(config, args):
             backends["generation"],
             judge_backend=backends["judge"],
             reward_backend=backends["reward"],
-            workers=config.workers,
         )
         report["backends"] = {
             "generation": config.profiles["generation"].model,
@@ -239,8 +238,6 @@ def cmd_synthesize(config, args):
         ucot_instruction=ucot_instruction,
         k=config.k,
         params=_gen_params(config),
-        leave_one_out=config.leave_one_out,
-        workers=config.workers,
     )
     out_path = config.workdir / "synthesized.jsonl"
     save_jsonl(out_path, (record_to_json(r) for r in records))
@@ -282,8 +279,6 @@ def cmd_filter(config, args):
         k=config.k,
         threshold=config.reward_threshold,
         instruction=instruction,
-        leave_one_out=config.leave_one_out,
-        workers=config.workers,
     )
     outputs = []
     for strategy in STRATEGIES:
@@ -340,7 +335,7 @@ def cmd_infer(config, args):
     pipeline = CascadePipeline(
         backends, index, seed_by_id, k=config.k, params=_gen_params(config)
     )
-    outputs = pipeline.run_batch(instances, workers=config.workers)
+    outputs = pipeline.run_batch(instances)
     out_path = Path(args.out) if args.out else config.workdir / "predictions.jsonl"
     write_predictions(out_path, outputs)
     timings = {

@@ -1,17 +1,20 @@
 """Run configuration: one JSON document drives every pipeline stage.
 
 Relative paths in the config resolve against the config file's directory,
-so a config can travel with its data. Backend profiles are declared per
-role (generation, embedding, reward, judge, and optionally one per cascade
-agent; any other role is a config error); every backend is wrapped in the
-shared on-disk cache under the working directory.
+so a config can travel with its data. An unknown top-level key is a config
+error. Backend profiles are declared per role (generation, embedding,
+reward, judge, and optionally one per cascade agent; any other role is a
+config error); every backend is wrapped in the shared on-disk cache under
+the working directory. A profile's ``max_inflight`` is the one concurrency
+setting: it caps the requests in flight to that backend and sizes the
+thread pool of every fan-out that calls it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .backends import BackendProfile, ConfigError, make_backend
@@ -21,6 +24,10 @@ from .filtering import STRATEGIES
 
 CONFIG_SCHEMA_VERSION = 1
 REQUIRED_ROLES = ("generation", "embedding", "reward", "judge")
+CONFIG_KEYS = (
+    "schema_version", "seed", "k", "n_candidates", "strategy", "temperature", "max_tokens",
+    "held_out_fraction", "normalization", "reward_threshold", "paths", "policy", "backends",
+)
 
 
 @dataclass
@@ -34,8 +41,6 @@ class RunConfig:
     held_out_fraction: float
     normalization: str
     reward_threshold: float
-    leave_one_out: bool
-    workers: int
     seed_path: Path
     pool_path: Path
     workdir: Path
@@ -44,7 +49,6 @@ class RunConfig:
     profiles: dict[str, BackendProfile]
     config_path: Path
     config_hash: str
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def config_sha256(path):
@@ -83,6 +87,9 @@ def load_config(path):
         raise ConfigError(
             f"unsupported config schema_version {version!r}; expected {CONFIG_SCHEMA_VERSION}"
         )
+    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; expected only {CONFIG_KEYS}")
 
     base = path.parent
     paths = raw.get("paths") or {}
@@ -128,8 +135,6 @@ def load_config(path):
         held_out_fraction=float(raw.get("held_out_fraction", 0.25)),
         normalization=raw.get("normalization", "zscore"),
         reward_threshold=float(raw.get("reward_threshold", 0.0)),
-        leave_one_out=bool(raw.get("leave_one_out", True)),
-        workers=int(raw.get("workers", 4)),
         seed_path=seed_path,
         pool_path=pool_path,
         workdir=workdir,
@@ -138,7 +143,6 @@ def load_config(path):
         profiles=profiles,
         config_path=path,
         config_hash=config_sha256(path),
-        raw=raw,
     )
 
 

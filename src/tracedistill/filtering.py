@@ -15,11 +15,10 @@ back to individual drops.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import prompts
-from .backends import BackendError, ChatMessage
+from .backends import BackendError, ChatMessage, fan_out
 from .corpus import SeedExample
 from .retrieval import top_k
 from .synthesis import STATUS_OK, RewardRecord
@@ -163,7 +162,7 @@ class FilterResult:
 
 
 def run_filter(records, index, seed_by_id, reward_backend, k=5,
-               threshold=0.0, instruction=None, leave_one_out=True, workers=4):
+               threshold=0.0, instruction=None):
     """Structural stage, reward stage, strategy subsets, audit trail.
 
     Reward calls happen only for structural survivors; scoring failures
@@ -178,23 +177,17 @@ def run_filter(records, index, seed_by_id, reward_backend, k=5,
             survivors.append(record)
 
     def job(record):
-        exclude = {record.instance.id} if leave_one_out else None
-        hits = top_k(index, record.instance.question, k, exclude=exclude)
-        return score_record(record, hits, seed_by_id, reward_backend, instruction)
+        try:
+            hits = top_k(index, record.instance.question, k, exclude={record.instance.id})
+            return score_record(record, hits, seed_by_id, reward_backend, instruction)
+        except BackendError as exc:
+            log.warning("reward scoring failed for %s: %s", record.instance.id, exc)
+            return None
 
-    results = {}
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = {pool.submit(job, r): r for r in survivors}
-        for future, record in futures.items():
-            try:
-                results[record.instance.id] = future.result()
-            except BackendError as exc:
-                log.warning("reward scoring failed for %s: %s", record.instance.id, exc)
-                results[record.instance.id] = None
     scored = []
-    for record in survivors:
-        record.rewards = results[record.instance.id]
-        if record.rewards is not None:
+    for record, rewards in zip(survivors, fan_out(reward_backend, job, survivors)):
+        record.rewards = rewards
+        if rewards is not None:
             scored.append(record)
         else:
             outcomes.append(

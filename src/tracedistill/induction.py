@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import logging
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from . import prompts
-from .backends import CapabilityError, ChatMessage, GenParams
+from .backends import CapabilityError, ChatMessage, GenParams, fan_out
 
 log = logging.getLogger(__name__)
 
@@ -110,7 +109,7 @@ def generate_candidates(config, seed_examples, backend):
     return texts
 
 
-def score_gen(candidate_text, seed_examples, config, backend, reward_backend=None, workers=4):
+def score_gen(candidate_text, seed_examples, config, backend, reward_backend=None):
     """Mean per-example fit of the gold outputs under the candidate.
 
     Returns (score, method) with method "logprob" when the backend scored
@@ -131,8 +130,7 @@ def score_gen(candidate_text, seed_examples, config, backend, reward_backend=Non
             generated = backend.generate(messages, params)
             return scorer.reward(messages, generated or gold), "reward"
 
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        results = list(pool.map(score_one, seed_examples))
+    results = fan_out(backend, score_one, seed_examples)
     scores = [value for value, _ in results]
     method = "reward" if any(m == "reward" for _, m in results) else "logprob"
     return sum(scores) / len(scores), method
@@ -150,7 +148,7 @@ def _parse_verdict(raw):
     return None
 
 
-def score_pref(candidate_texts, seed_examples, config, backend, judge_backend, workers=4):
+def score_pref(candidate_texts, seed_examples, config, backend, judge_backend):
     """Round-robin win counts over all unordered candidate pairs.
 
     Every pair is judged on the same held-out slice; a tie or an
@@ -167,15 +165,11 @@ def score_pref(candidate_texts, seed_examples, config, backend, judge_backend, w
         for text in candidate_texts
         for example in held_out
     ]
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        generated = list(
-            pool.map(
-                lambda job: backend.generate(
-                    _candidate_messages(job[0], job[1], config.subtask), params
-                ),
-                jobs,
-            )
-        )
+    generated = fan_out(
+        backend,
+        lambda job: backend.generate(_candidate_messages(job[0], job[1], config.subtask), params),
+        jobs,
+    )
     per_candidate = len(held_out)
     outputs = [
         generated[i * per_candidate : (i + 1) * per_candidate]
@@ -188,8 +182,7 @@ def score_pref(candidate_texts, seed_examples, config, backend, judge_backend, w
         text = prompts.judge_prompt(gold_blocks, outputs[pair[0]], outputs[pair[1]])
         return judge_backend.generate([ChatMessage(role="user", content=text)], params)
 
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        raw_verdicts = list(pool.map(judge, pairs))
+    raw_verdicts = fan_out(judge_backend, judge, pairs)
     wins = [0] * len(candidate_texts)
     for (i, j), raw in zip(pairs, raw_verdicts):
         verdict = _parse_verdict(raw)
@@ -231,19 +224,16 @@ def select_prompt(candidates, config):
     return best
 
 
-def induce_prompt(config, seed_examples, backend, judge_backend=None, reward_backend=None,
-                  workers=4):
+def induce_prompt(config, seed_examples, backend, judge_backend=None, reward_backend=None):
     """Full induction pass; returns (winner, report dict for the sidecar)."""
     texts = generate_candidates(config, seed_examples, backend)
     candidates = [CandidatePrompt(text=t) for t in texts]
     for cand in candidates:
         cand.s_gen, cand.gen_method = score_gen(
-            cand.text, seed_examples, config, backend, reward_backend, workers=workers
+            cand.text, seed_examples, config, backend, reward_backend
         )
     if len(candidates) >= 2:
-        wins = score_pref(
-            texts, seed_examples, config, backend, judge_backend or backend, workers=workers
-        )
+        wins = score_pref(texts, seed_examples, config, backend, judge_backend or backend)
     else:
         wins = [0] * len(candidates)
     for cand, win in zip(candidates, wins):

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import prompts
-from .backends import ChatMessage, GenParams
+from .backends import ChatMessage, GenParams, fan_out
 from .corpus import (
     QuestionInstance,
     ReasoningTrace,
@@ -159,11 +158,10 @@ def resolve_status(qp, trace):
 
 
 def synthesize(instance, index, seed_by_id, backend, qp_instruction=None,
-               ucot_instruction=None, k=5, params=None, leave_one_out=True):
+               ucot_instruction=None, k=5, params=None):
     """Generate and parse QP + UCoT annotations for one question."""
     params = params or GenParams()
-    exclude = {instance.id} if leave_one_out else None
-    hits = top_k(index, instance.question, k, exclude=exclude)
+    hits = top_k(index, instance.question, k, exclude={instance.id})
     qp_prompt = prompts.render(
         "QP", qp_instruction or prompts.QP_INSTRUCTION,
         demo_pairs_qp(hits, seed_by_id), question_block(instance),
@@ -193,29 +191,23 @@ def synthesize(instance, index, seed_by_id, backend, qp_instruction=None,
 
 
 def synthesize_batch(pool, index, seed_by_id, backend, qp_instruction=None,
-                     ucot_instruction=None, k=5, params=None, leave_one_out=True,
-                     workers=4):
+                     ucot_instruction=None, k=5, params=None):
     """Synthesize a pool concurrently; returns (records sorted by id, errors)."""
-    records = []
-    errors = []
 
     def job(instance):
-        return synthesize(
-            instance, index, seed_by_id, backend,
-            qp_instruction=qp_instruction, ucot_instruction=ucot_instruction,
-            k=k, params=params, leave_one_out=leave_one_out,
-        )
+        try:
+            return synthesize(
+                instance, index, seed_by_id, backend,
+                qp_instruction=qp_instruction, ucot_instruction=ucot_instruction,
+                k=k, params=params,
+            ), None
+        except Exception as exc:
+            log.warning("synthesis failed for %s: %s", instance.id, exc)
+            return None, {"id": instance.id, "error": str(exc)}
 
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool_exec:
-        futures = {pool_exec.submit(job, x): x for x in pool}
-        for future, instance in futures.items():
-            try:
-                records.append(future.result())
-            except Exception as exc:
-                log.warning("synthesis failed for %s: %s", instance.id, exc)
-                errors.append({"id": instance.id, "error": str(exc)})
-    records.sort(key=lambda r: r.instance.id)
-    errors.sort(key=lambda e: e["id"])
+    results = fan_out(backend, job, pool)
+    records = sorted((r for r, _ in results if r is not None), key=lambda r: r.instance.id)
+    errors = sorted((e for _, e in results if e is not None), key=lambda e: e["id"])
     return records, errors
 
 

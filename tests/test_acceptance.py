@@ -86,7 +86,7 @@ def test_acceptance_filtering_laws_on_1000_records():
     seed_by_id = {e.instance.id: e for e in seeds}
     index = build_index(seeds, MockBackend(embed_dim=16).embed)
     inner = MockBackend(seed=9)
-    result = run_filter(records, index, seed_by_id, CachingBackend(inner), k=2, workers=8)
+    result = run_filter(records, index, seed_by_id, CachingBackend(inner), k=2)
 
     survivors = result.kept["structure"]
     survivor_ids = {r.instance.id for r in survivors}

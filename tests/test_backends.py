@@ -288,6 +288,25 @@ def test_http_non_finite_embedding_is_backend_error_and_not_cached(tmp_path, emb
     assert not list(tmp_path.rglob("*.json"))
 
 
+@pytest.mark.parametrize(
+    "response", [{"score": float("nan")}, {"choices": [{"message": {"content": "inf"}}]}]
+)
+def test_http_non_finite_reward_is_backend_error_and_not_cached(tmp_path, response):
+    profile = BackendProfile(kind="http", endpoint="https://rm.test/v1", model="rm")
+    calls = []
+
+    def transport(url, payload):
+        calls.append(url)
+        return response
+
+    for attempt in (1, 2):
+        backend = CachingBackend(HttpBackend(profile, transport=transport), cache_dir=tmp_path)
+        with pytest.raises(BackendError, match="not finite"):
+            backend.reward(_user("context"), "the synthesized reasoning")
+        assert len(calls) == attempt
+    assert not list(tmp_path.rglob("*.json"))
+
+
 def test_http_reward_replayed_from_cassette(tmp_path):
     """The recorded fixture value comes back over the wire format with zero network."""
     cassette_path = tmp_path / "reward.json"

@@ -170,7 +170,7 @@ def test_batch_outputs_sorted_by_id():
     instances = [gold_instance(f"t-{i:02d}") for i in (3, 1, 2)]
     for i, inst in enumerate(instances):
         inst.question = f"{inst.question} v{i}"
-    outputs = pipeline.run_batch(instances, workers=3)
+    outputs = pipeline.run_batch(instances)
     assert [o.instance_id for o in outputs] == ["t-01", "t-02", "t-03"]
 
 
@@ -183,7 +183,7 @@ def test_missing_binding_rejected():
 
 def test_write_predictions_schema(tmp_path):
     pipeline, _ = _pipeline(script=_gold_script())
-    outputs = pipeline.run_batch([gold_instance("t-1")], workers=1)
+    outputs = pipeline.run_batch([gold_instance("t-1")])
     path = tmp_path / "predictions.jsonl"
     write_predictions(path, outputs)
     row = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
@@ -211,7 +211,7 @@ def test_hostile_nesting_is_flagged_not_fatal():
     script = {prompts.OUTPUT_HEADERS[s]: hostile for s in ("QP", "CP", "CV_evidence", "CV_verify")}
     pipeline, _ = _pipeline(script=script)
     instances = [gold_instance(f"t-{i}") for i in range(2)]
-    outputs = pipeline.run_batch(instances, workers=2)
+    outputs = pipeline.run_batch(instances)
     assert [o.instance_id for o in outputs] == ["t-0", "t-1"]
     for output in outputs:
         assert output.flags == ["parser_failed", "decomposer_failed", "no_statements"]

@@ -47,7 +47,6 @@ def make_config(tmp_path, n_seed=5, n_pool=6, overrides=None, backend_overrides=
         "held_out_fraction": 0.25,
         "normalization": "zscore",
         "reward_threshold": 0.0,
-        "workers": 2,
         "paths": {
             "seed": "seed.jsonl",
             "pool": "pool.jsonl",
@@ -416,3 +415,12 @@ def test_removed_run_overrides_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv + ["--config", "cfg.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key", ["workers", "leave_one_out", "reward_treshold"])
+def test_unknown_top_level_config_key_is_a_config_error(tmp_path, capsys, key):
+    config = make_config(tmp_path, overrides={key: 4})
+    assert main(["infer", "--config", str(config)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert key in err["message"]

@@ -196,7 +196,7 @@ def test_run_filter_reward_calls_only_for_structural_survivors():
     ]
     inner = MockBackend()
     backend = CachingBackend(inner)
-    result = run_filter(records, index, seed_by_id, backend, k=2, workers=2)
+    result = run_filter(records, index, seed_by_id, backend, k=2)
     survivors = result.kept["structure"]
     assert [r.instance.id for r in survivors] == ["a1", "a4"]
     assert inner.calls["reward"] == 2 * len(survivors)
@@ -211,7 +211,7 @@ def test_run_filter_membership_law_for_average():
     seeds, seed_by_id, index = _scoring_setup()
     records = [_record(f"m{i}") for i in range(20)]
     backend = CachingBackend(MockBackend(seed=3))
-    result = run_filter(records, index, seed_by_id, backend, k=2, workers=4)
+    result = run_filter(records, index, seed_by_id, backend, k=2)
     kept_avg = {r.instance.id for r in result.kept["average"]}
     for record in result.kept["structure"]:
         expected = record.rewards is not None and record.rewards.s_few + record.rewards.s_zero > 0
@@ -234,7 +234,7 @@ def test_run_filter_unscored_records_excluded_and_audited():
     records = [_record("u1"), _record("u2")]
     marker = records[0].ucot_raw[:40]
     backend = CachingBackend(_FailingReward(marker), retry_budget=0)
-    result = run_filter(records, index, seed_by_id, backend, k=2, workers=1)
+    result = run_filter(records, index, seed_by_id, backend, k=2)
     for strategy in ("zero", "few", "average"):
         assert all(r.instance.id != "u1" for r in result.kept[strategy])
     unscored = [o for o in result.outcomes if o.reason == "unscored"]
@@ -272,7 +272,7 @@ def test_subset_relations_random():
         status = rng.choice(["ok", "ok", "ok", "ucot_malformed", "too_few_steps"])
         records.append(_record(f"s{i}", status=status, n_steps=1 if status == "too_few_steps" else 3))
     backend = CachingBackend(MockBackend(seed=8))
-    result = run_filter(records, index, seed_by_id, backend, k=2, workers=4)
+    result = run_filter(records, index, seed_by_id, backend, k=2)
     structure_ids = {r.instance.id for r in result.kept["structure"]}
     for strategy in STRATEGIES:
         assert {r.instance.id for r in result.kept[strategy]} <= structure_ids

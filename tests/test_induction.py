@@ -109,23 +109,24 @@ def test_score_gen_falls_back_to_reward_and_records_it():
 def test_score_pref_two_candidates_judge_prefers_a():
     judge = MockBackend(queue=["A"])
     wins = score_pref(["alpha", "beta"], SEED, _config(n_candidates=2),
-                      CachingBackend(MockBackend()), judge, workers=1)
+                      CachingBackend(MockBackend()), judge)
     assert wins == [1, 0]
 
 
 def test_score_pref_all_ties_gives_zeros():
     judge = MockBackend(queue=["tie", "tie", "tie"])
     wins = score_pref(["a", "b", "c"], SEED, _config(n_candidates=3),
-                      CachingBackend(MockBackend()), judge, workers=1)
+                      CachingBackend(MockBackend()), judge)
     assert wins == [0, 0, 0]
 
 
 def test_score_pref_scripted_tournament_tally():
-    # pair order: (0,1) (0,2) (0,3) (1,2) (1,3) (2,3); workers=1 keeps the
-    # FIFO judge script aligned with that order
+    # pair order: (0,1) (0,2) (0,3) (1,2) (1,3) (2,3); a bare MockBackend
+    # judge has no max_inflight, so fan_out judges the pairs one at a time
+    # and the FIFO judge script stays aligned with that order
     judge = MockBackend(queue=["A", "B", "A", "tie", "B", "A"])
     wins = score_pref(["c0", "c1", "c2", "c3"], SEED, _config(),
-                      CachingBackend(MockBackend()), judge, workers=1)
+                      CachingBackend(MockBackend()), judge)
     assert wins == [2, 0, 2, 1]
     assert sum(wins) == 5  # 6 pairs, one tie
 
@@ -142,7 +143,7 @@ def test_score_pref_unparseable_verdict_counts_as_tie(caplog):
     judge = MockBackend(queue=["I prefer the first one, clearly."])
     with caplog.at_level("WARNING"):
         wins = score_pref(["a", "b"], SEED, _config(n_candidates=2),
-                          CachingBackend(MockBackend()), judge, workers=1)
+                          CachingBackend(MockBackend()), judge)
     assert wins == [0, 0]
     assert any("unparseable judge verdict" in r.message for r in caplog.records)
 

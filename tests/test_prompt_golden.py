@@ -137,15 +137,14 @@ def _render_induction(seeds, subtask):
     config = InductionConfig(subtask=subtask, n_candidates=2)
     backend = Recorder()
     generate_candidates(config, seeds, backend)
-    score_gen("Candidate instruction text.", seeds, config, backend, workers=1)
+    score_gen("Candidate instruction text.", seeds, config, backend)
     return backend.requests
 
 
 def _render_judge(seeds):
     config = InductionConfig(subtask="QP", n_candidates=2)
     judge = Recorder(["A"])
-    score_pref(["First candidate.", "Second candidate."], seeds, config, MockBackend(), judge,
-               workers=1)
+    score_pref(["First candidate.", "Second candidate."], seeds, config, MockBackend(), judge)
     return judge.requests
 
 

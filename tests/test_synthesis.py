@@ -231,11 +231,24 @@ def test_synthesize_batch_rerun_is_identical():
     for i, inst in enumerate(pool):
         inst.question = f"{inst.question} (variant {i})"
     backend = CachingBackend(MockBackend())
-    first, errors_a = synthesize_batch(pool, index, seed_by_id, backend, k=2, workers=4)
-    second, errors_b = synthesize_batch(pool, index, seed_by_id, backend, k=2, workers=4)
+    first, errors_a = synthesize_batch(pool, index, seed_by_id, backend, k=2)
+    second, errors_b = synthesize_batch(pool, index, seed_by_id, backend, k=2)
     assert errors_a == errors_b == []
     assert [record_to_json(r) for r in first] == [record_to_json(r) for r in second]
     assert [r.instance.id for r in first] == sorted(r.instance.id for r in first)
+
+
+def test_synthesize_batch_width_follows_the_backend():
+    _, seed_by_id, index, _ = _hits_and_seeds()
+    pool = [gold_instance(f"pool-{i:03d}") for i in range(16)]
+    for i, inst in enumerate(pool):
+        inst.question = f"{inst.question} (variant {i})"
+    inner = MockBackend(latency=0.02)
+    records, errors = synthesize_batch(
+        pool, index, seed_by_id, CachingBackend(inner, max_inflight=8), k=2
+    )
+    assert len(records) == 16 and errors == []
+    assert inner.max_inflight_observed == 8
 
 
 def test_record_json_round_trip():
