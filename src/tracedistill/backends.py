@@ -8,7 +8,8 @@ Three implementations share one call surface:
 * ``HttpBackend``: OpenAI-compatible chat-completions/embeddings client
   with bearer-token auth and cassette record/replay for offline tests.
 * ``CachingBackend``: wraps either of the above with an on-disk result
-  cache, a bounded in-flight semaphore, and retries for transient failures.
+  cache (one file per call, no in-memory copy), a bounded in-flight
+  semaphore, and retries for transient failures.
 
 Mock response scheme (tests rely on this being stable):
 
@@ -542,7 +543,10 @@ class CachingBackend(Backend):
 
     Cache keys cover the model name, the operation, the full payload, and a
     schema version, so identical calls return identical bytes without
-    touching the wrapped backend.
+    touching the wrapped backend. Each result lives only in its file under
+    ``cache_dir``; a missing, torn or non-object file is a miss. With no
+    ``cache_dir`` nothing is cached, and every call reaches the wrapped
+    backend (still retried and bounded).
     """
 
     def __init__(self, inner, cache_dir=None, max_inflight=4, retry_budget=2):
@@ -552,7 +556,6 @@ class CachingBackend(Backend):
         self.retry_budget = retry_budget
         self.max_inflight = max_inflight
         self._sem = threading.BoundedSemaphore(max_inflight)
-        self._mem = {}
         self._lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -565,46 +568,31 @@ class CachingBackend(Backend):
             "inner_calls": dict(getattr(self.inner, "calls", {})),
         }
 
-    def _key(self, op, payload):
+    def _path(self, op, payload):
         blob = json.dumps(
             {"v": CACHE_SCHEMA_VERSION, "model": self.model, "op": op, "payload": payload},
             sort_keys=True,
             ensure_ascii=False,
         )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def _path(self, key):
+        key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         return self.cache_dir / key[:2] / f"{key}.json"
 
-    def _load(self, key):
-        with self._lock:
-            if key in self._mem:
-                return self._mem[key]
-        if self.cache_dir is not None:
-            path = self._path(key)
-            if path.exists():
-                try:
-                    value = json.loads(path.read_text(encoding="utf-8"))["result"]
-                except (ValueError, KeyError):
-                    return _MISS
-                with self._lock:
-                    self._mem[key] = value
-                return value
-        return _MISS
+    def _load(self, path):
+        try:
+            entry = json.loads(path.read_text(encoding="utf-8"))
+        except (FileNotFoundError, ValueError):
+            return _MISS
+        return entry["result"] if isinstance(entry, dict) and "result" in entry else _MISS
 
-    def _store(self, key, value):
-        with self._lock:
-            self._mem[key] = value
-        if self.cache_dir is not None:
-            path = self._path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp{os.getpid()}.{threading.get_ident()}")
-            tmp.write_text(json.dumps({"result": value}, ensure_ascii=False), encoding="utf-8")
-            os.replace(tmp, path)
+    def _store(self, path, value):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(f".tmp{os.getpid()}.{threading.get_ident()}")
+        tmp.write_text(json.dumps({"result": value}, ensure_ascii=False), encoding="utf-8")
+        os.replace(tmp, path)
 
     def _call(self, op, payload, compute):
-        key = self._key(op, payload)
-        cached = self._load(key)
+        path = None if self.cache_dir is None else self._path(op, payload)
+        cached = _MISS if path is None else self._load(path)
         if cached is not _MISS:
             with self._lock:
                 self.cache_hits += 1
@@ -625,7 +613,8 @@ class CachingBackend(Backend):
                 ) from last
         with self._lock:
             self.cache_misses += 1
-        self._store(key, value)
+        if path is not None:
+            self._store(path, value)
         return value
 
     def generate(self, messages, params):
@@ -663,8 +652,8 @@ def fan_out(backend, fn, items):
         return list(pool.map(fn, items))
 
 
-def make_backend(profile, cache_dir=None):
-    """Build the configured backend wrapped in a cache."""
+def make_backend(profile, cache_dir):
+    """Build the configured backend wrapped in a cache under ``cache_dir``."""
     if profile.kind == "mock":
         inner = MockBackend(
             model=profile.model,
@@ -677,7 +666,7 @@ def make_backend(profile, cache_dir=None):
         inner = HttpBackend(profile)
     return CachingBackend(
         inner,
-        cache_dir=cache_dir if cache_dir is not None else profile.cache_dir,
+        cache_dir=cache_dir,
         max_inflight=profile.max_inflight,
         retry_budget=profile.retry_budget,
     )

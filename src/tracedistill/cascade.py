@@ -51,14 +51,9 @@ class CascadeError(Exception):
 @dataclass
 class StageResult:
     raw: list[str] = field(default_factory=list)
-    prompt: str = ""
     failed: bool = False
     started: float = 0.0
     finished: float = 0.0
-
-    @property
-    def duration(self):
-        return self.finished - self.started
 
 
 @dataclass
@@ -81,8 +76,7 @@ def run_stage(subtask, instruction, query, demos, backend, params, problem=None)
     stage is marked failed when no answer parsed; callers may tighten that.
     """
     stage = StageResult(started=time.monotonic())
-    stage.prompt = prompts.render(subtask, instruction, demos, query)
-    text = stage.prompt
+    prompt = text = prompts.render(subtask, instruction, demos, query)
     value = None
     for attempt in range(2):
         raw = backend.generate([ChatMessage(role="user", content=text)], params)
@@ -94,7 +88,7 @@ def run_stage(subtask, instruction, query, demos, backend, params, problem=None)
         if not defect:
             break
         header = prompts.OUTPUT_HEADERS[subtask]
-        text = "\n".join([stage.prompt, "", REPROMPT_SUFFIX.format(problem=defect), header])
+        text = "\n".join([prompt, "", REPROMPT_SUFFIX.format(problem=defect), header])
     stage.failed = value is None
     stage.finished = time.monotonic()
     return value, stage

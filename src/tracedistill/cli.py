@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .backends import CACHE_SCHEMA_VERSION, BackendError, ConfigError, GenParams
+from .backends import CACHE_SCHEMA_VERSION, BackendError, ConfigError
 from .cascade import CascadeError, CascadePipeline, write_predictions
 from .config import CONFIG_SCHEMA_VERSION, build_backends, load_config
 from .corpus import (
@@ -49,12 +49,11 @@ from .evalharness import EvalError, evaluate, format_report
 from .filtering import STRATEGIES, run_filter, to_training_example
 from .induction import InductionConfig, InductionError, induce_prompt
 from .retrieval import INDEX_FORMAT, RetrievalError, build_index, save_index
-from .synthesis import record_from_json, record_to_json, synthesize_batch
+from .synthesis import load_records, record_to_json, synthesize_batch
 
 
 class MissingArtifactError(Exception):
     def __init__(self, path, needed_command):
-        self.needed_command = needed_command
         super().__init__(
             f"missing required artifact {path}; run `tracedistill {needed_command}` first"
         )
@@ -160,12 +159,6 @@ def _prompt_paths(config, subtask):
     )
 
 
-def _gen_params(config):
-    return GenParams(
-        temperature=config.temperature, max_tokens=config.max_tokens, seed=config.seed
-    )
-
-
 def _load_instruction(config, subtask):
     text_path = _require(_prompt_paths(config, subtask)[0], "induce")
     return text_path.read_text(encoding="utf-8").rstrip("\n")
@@ -188,9 +181,9 @@ def cmd_induce(config, args):
             n_candidates=config.n_candidates,
             held_out_fraction=config.held_out_fraction,
             normalization=config.normalization,
-            temperature=config.temperature,
-            max_tokens=config.max_tokens,
-            base_seed=config.seed,
+            temperature=config.params.temperature,
+            max_tokens=config.params.max_tokens,
+            base_seed=config.params.seed,
         )
         winner, report = induce_prompt(
             icfg,
@@ -237,7 +230,7 @@ def cmd_synthesize(config, args):
         qp_instruction=qp_instruction,
         ucot_instruction=ucot_instruction,
         k=config.k,
-        params=_gen_params(config),
+        params=config.params,
     )
     out_path = config.workdir / "synthesized.jsonl"
     save_jsonl(out_path, (record_to_json(r) for r in records))
@@ -265,11 +258,7 @@ def cmd_filter(config, args):
     backends = build_backends(config)
     seed = load_seed(config.seed_path)
     seed_by_id = {e.instance.id: e for e in seed}
-    records = [
-        record_from_json(json.loads(line))
-        for line in synth_path.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    records = load_records(synth_path)
     index = _seed_index(config, backends, seed)
     result = run_filter(
         records,
@@ -333,13 +322,15 @@ def cmd_infer(config, args):
         )
     index = _seed_index(config, backends, seed)
     pipeline = CascadePipeline(
-        backends, index, seed_by_id, k=config.k, params=_gen_params(config)
+        backends, index, seed_by_id, k=config.k, params=config.params
     )
     outputs = pipeline.run_batch(instances)
     out_path = Path(args.out) if args.out else config.workdir / "predictions.jsonl"
     write_predictions(out_path, outputs)
     timings = {
-        o.instance_id: {name: round(stage.duration, 6) for name, stage in o.stages.items()}
+        o.instance_id: {
+            name: round(stage.finished - stage.started, 6) for name, stage in o.stages.items()
+        }
         for o in outputs
     }
     timings_path = config.workdir / "logs" / "infer_timings.json"

@@ -1,7 +1,8 @@
 """Run configuration: one JSON document drives every pipeline stage.
 
 Relative paths in the config resolve against the config file's directory,
-so a config can travel with its data. An unknown top-level key is a config
+so a config can travel with its data. A non-object document, an unknown
+top-level key, or a value that fails its cast or range check is a config
 error. Backend profiles are declared per role (generation, embedding,
 reward, judge, and optionally one per cascade agent; any other role is a
 config error); every backend is wrapped in the shared on-disk cache under
@@ -17,7 +18,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backends import BackendProfile, ConfigError, make_backend
+from .backends import BackendProfile, ConfigError, GenParams, make_backend
 from .cascade import AGENTS
 from .evalharness import EvalError, MatchPolicy
 from .filtering import STRATEGIES
@@ -32,12 +33,10 @@ CONFIG_KEYS = (
 
 @dataclass
 class RunConfig:
-    seed: int
     k: int
     n_candidates: int
     strategy: str
-    temperature: float
-    max_tokens: int
+    params: GenParams
     held_out_fraction: float
     normalization: str
     reward_threshold: float
@@ -47,7 +46,6 @@ class RunConfig:
     gold_path: Path | None
     policy: MatchPolicy
     profiles: dict[str, BackendProfile]
-    config_path: Path
     config_hash: str
 
 
@@ -58,6 +56,13 @@ def config_sha256(path):
 def _resolve(base, value):
     path = Path(value)
     return path if path.is_absolute() else (base / path)
+
+
+def _number(raw, key, cast, default):
+    try:
+        return cast(raw.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be a number, got {raw[key]!r}") from exc
 
 
 def _parse_policy(raw):
@@ -82,6 +87,8 @@ def load_config(path):
         raw = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
@@ -106,7 +113,7 @@ def load_config(path):
     if gold_path is not None and not gold_path.exists():
         raise ConfigError(f"paths.gold does not exist: {gold_path}")
 
-    k = int(raw.get("k", 5))
+    k = _number(raw, "k", int, 5)
     if k < 0:
         raise ConfigError("k must be >= 0")
     strategy = raw.get("strategy", "average")
@@ -125,23 +132,29 @@ def load_config(path):
             )
         profiles[role] = _parse_profile(role, profile)
 
+    try:
+        params = GenParams(
+            temperature=_number(raw, "temperature", float, 0.1),
+            max_tokens=_number(raw, "max_tokens", int, 1024),
+            seed=_number(raw, "seed", int, 0),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
     return RunConfig(
-        seed=int(raw.get("seed", 0)),
         k=k,
-        n_candidates=int(raw.get("n_candidates", 4)),
+        n_candidates=_number(raw, "n_candidates", int, 4),
         strategy=strategy,
-        temperature=float(raw.get("temperature", 0.1)),
-        max_tokens=int(raw.get("max_tokens", 1024)),
-        held_out_fraction=float(raw.get("held_out_fraction", 0.25)),
+        params=params,
+        held_out_fraction=_number(raw, "held_out_fraction", float, 0.25),
         normalization=raw.get("normalization", "zscore"),
-        reward_threshold=float(raw.get("reward_threshold", 0.0)),
+        reward_threshold=_number(raw, "reward_threshold", float, 0.0),
         seed_path=seed_path,
         pool_path=pool_path,
         workdir=workdir,
         gold_path=gold_path,
         policy=_parse_policy(raw.get("policy") or {}),
         profiles=profiles,
-        config_path=path,
         config_hash=config_sha256(path),
     )
 

@@ -220,16 +220,12 @@ def record_to_json(record):
     out["parse_status"] = record.parse_status
     if record.failures:
         out["parse_failures"] = list(record.failures)
-    if record.rewards is not None:
-        out["rewards"] = {
-            "s_few": record.rewards.s_few,
-            "s_zero": record.rewards.s_zero,
-            "s_avg": record.rewards.s_avg,
-        }
     return out
 
 
 def record_from_json(obj):
+    if not isinstance(obj, dict):
+        raise SchemaError("record must be a JSON object")
     fields = _index_keys(obj)
     instance = parse_instance(fields)
     qp = fields.get("question_parsing")
@@ -237,10 +233,9 @@ def record_from_json(obj):
         qp = parse_question_parsing(qp)
     steps = fields.get("cot_parsing")
     trace = parse_trace(steps) if steps is not None else None
-    rewards = None
-    if fields.get("rewards") is not None:
-        raw = fields["rewards"]
-        rewards = RewardRecord(s_few=float(raw["s_few"]), s_zero=float(raw["s_zero"]))
+    failures = fields.get("parse_failures", [])
+    if not isinstance(failures, list):
+        raise SchemaError("expected a JSON array", path="parse_failures")
     status = fields.get("parse_status")
     if status not in PARSE_STATUSES:
         raise SchemaError(f"unknown parse_status {status!r}", path="parse_status")
@@ -251,6 +246,20 @@ def record_from_json(obj):
         qp=qp,
         trace=trace,
         parse_status=status,
-        rewards=rewards,
-        failures=list(fields.get("parse_failures", [])),
+        failures=list(failures),
     )
+
+
+def load_records(path):
+    """Read ``synthesized.jsonl``: every non-blank line must be one record object."""
+    records = []
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(record_from_json(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) from None
+        except SchemaError as exc:
+            raise exc.at(line=line_no) from None
+    return records

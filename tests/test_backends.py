@@ -1,4 +1,5 @@
 import json
+import shutil
 import threading
 
 import numpy as np
@@ -158,15 +159,49 @@ def test_backend_profile_validation():
         BackendProfile(kind="http", endpoint="")
 
 
-def test_cache_second_call_hits_no_inner_request():
+def test_cache_second_call_hits_no_inner_request(tmp_path):
     inner = MockBackend()
-    backend = CachingBackend(inner)
+    backend = CachingBackend(inner, cache_dir=tmp_path)
     messages = _user("cache me\n\nQuestion Parsing:")
     first = backend.generate(messages, PARAMS)
     second = backend.generate(messages, PARAMS)
     assert first == second
     assert inner.calls["generate"] == 1
     assert backend.cache_hits == 1
+
+
+def test_cache_hit_is_served_from_its_file(tmp_path):
+    inner = MockBackend()
+    backend = CachingBackend(inner, cache_dir=tmp_path / "c")
+    messages = _user("read me back\n\nQuestion Parsing:")
+    first = backend.generate(messages, PARAMS)
+    shutil.rmtree(tmp_path / "c")
+    assert backend.generate(messages, PARAMS) == first
+    assert inner.calls["generate"] == 2
+    assert backend.cache_hits == 0
+
+
+def test_no_cache_dir_means_every_call_reaches_the_backend():
+    inner = MockBackend()
+    backend = CachingBackend(inner)
+    messages = _user("uncached\n\nQuestion Parsing:")
+    assert backend.generate(messages, PARAMS) == backend.generate(messages, PARAMS)
+    assert inner.calls["generate"] == 2
+    assert backend.cache_hits == 0
+    assert backend.cache_misses == 2
+
+
+@pytest.mark.parametrize("content", ['{"result": "torn', "[]", '{"other": 1}'])
+def test_unusable_cache_file_is_a_miss(tmp_path, content):
+    messages = _user("damaged\n\nQuestion Parsing:")
+    expected = CachingBackend(MockBackend(), cache_dir=tmp_path).generate(messages, PARAMS)
+    (path,) = tmp_path.glob("*/*.json")
+    path.write_text(content, encoding="utf-8")
+    inner = MockBackend()
+    backend = CachingBackend(inner, cache_dir=tmp_path)
+    assert backend.generate(messages, PARAMS) == expected
+    assert inner.calls["generate"] == 1
+    assert json.loads(path.read_text(encoding="utf-8")) == {"result": expected}
 
 
 def test_cache_persists_on_disk(tmp_path):

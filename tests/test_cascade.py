@@ -153,15 +153,29 @@ def test_stage_order_timestamps_monotone():
     assert stages["evidence"].finished <= stages["verify"].started + 1e-9
 
 
+class _PromptRecorder(MockBackend):
+    """Mock backend that keeps every prompt it is sent."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.prompts = []
+
+    def generate(self, messages, params):
+        self.prompts.append(messages[-1].content)
+        return super().generate(messages, params)
+
+
 def test_demo_block_byte_identical_across_stages():
-    pipeline, _ = _pipeline(script=_gold_script())
-    output = pipeline.run(gold_instance("test-1"))
+    backend = _PromptRecorder(script=_gold_script())
+    pipeline, _ = _pipeline(backend=backend)
+    pipeline.run(gold_instance("test-1"))
 
     def demo_section(prompt):
         assert prompts.SECTION_EXAMPLES in prompt
         return prompt.split(prompts.SECTION_EXAMPLES)[1].split(prompts.SECTION_INPUT)[0]
 
-    sections = {demo_section(stage.prompt) for stage in output.stages.values()}
+    assert len(backend.prompts) == 4
+    sections = {demo_section(prompt) for prompt in backend.prompts}
     assert len(sections) == 1
 
 

@@ -424,3 +424,48 @@ def test_unknown_top_level_config_key_is_a_config_error(tmp_path, capsys, key):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "ConfigError"
     assert key in err["message"]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"k": "three"}, {"temperature": 5}, {"max_tokens": 0}],
+    ids=["k-not-a-number", "temperature-out-of-range", "max-tokens-zero"],
+)
+def test_bad_config_value_is_a_config_error(tmp_path, capsys, overrides):
+    config = make_config(tmp_path, overrides=overrides)
+    assert main(["infer", "--config", str(config)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert next(iter(overrides)) in err["message"]
+
+
+def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    config = make_config(tmp_path)
+    config.write_text("[]", encoding="utf-8")
+    assert main(["infer", "--config", str(config)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("damage", ["torn", "not-an-object", "bad-field"])
+def test_filter_rejects_a_bad_synthesized_line_by_number(tmp_path, capsys, damage):
+    config = make_config(tmp_path)
+    synth = tmp_path / "work" / "synthesized.jsonl"
+    assert main(["induce", "--config", str(config)]) == 0
+    assert main(["synthesize", "--config", str(config)]) == 0
+    lines = synth.read_text(encoding="utf-8").splitlines()
+    if damage == "torn":
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]
+    elif damage == "not-an-object":
+        lines.append("[1, 2]")
+    else:
+        lines[-1] = json.dumps({**json.loads(lines[-1]), "parse_failures": 5})
+    synth.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["filter", "--config", str(config)]) == 5
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "SchemaError"
+    assert f"line {len(lines)}" in err["message"]
+
+    synth.write_text("", encoding="utf-8")
+    assert main(["filter", "--config", str(config)]) == 0
+    assert (tmp_path / "work" / "filtered_average.jsonl").read_text(encoding="utf-8") == ""
