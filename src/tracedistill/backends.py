@@ -6,7 +6,7 @@ Three implementations share one call surface:
   response is a pure function of (constructor seed, model name, request
   payload) via sha256.
 * ``HttpBackend``: OpenAI-compatible chat-completions/embeddings client
-  with bearer-token auth and cassette record/replay for offline tests.
+  with bearer-token auth; tests inject a transport instead of the network.
 * ``CachingBackend``: wraps either of the above with an on-disk result
   cache (one file per call, no in-memory copy), a bounded in-flight
   semaphore, and retries for transient failures.
@@ -32,7 +32,6 @@ Mock response scheme (tests rely on this being stable):
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import logging
@@ -113,9 +112,7 @@ class BackendProfile:
     embed_dim: int = 64
     malformed_rate: float = 0.0
     empty_qp_rate: float = 0.0
-    # http-only knobs
-    cassette: str | None = None
-    replay: bool = False
+    # http-only knob
     timeout: float = 60.0
 
     def __post_init__(self):
@@ -123,7 +120,7 @@ class BackendProfile:
             raise ConfigError(f"unknown backend kind {self.kind!r}")
         if self.max_inflight < 1:
             raise ConfigError("max_inflight must be >= 1")
-        if self.kind == "http" and not self.endpoint and not self.replay:
+        if self.kind == "http" and not self.endpoint:
             raise ConfigError("http backend requires an endpoint")
 
 
@@ -425,44 +422,6 @@ class RequestsTransport:
             raise BackendError(f"non-JSON response from {url}") from exc
 
 
-class CassetteTransport:
-    """Replay (and optionally record) wire responses keyed by request hash."""
-
-    def __init__(self, path, record_with=None):
-        self.path = Path(path)
-        self.record_with = record_with
-        self.entries = {}
-        if self.path.exists():
-            data = json.loads(self.path.read_text(encoding="utf-8"))
-            self.entries = data.get("entries", {})
-
-    @staticmethod
-    def request_key(url, payload):
-        blob = json.dumps({"url": url, "payload": payload}, sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def add(self, url, payload, response):
-        key = self.request_key(url, payload)
-        self.entries[key] = {"url": url, "payload": payload, "response": response}
-        return key
-
-    def save(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        body = json.dumps({"entries": self.entries}, sort_keys=True, ensure_ascii=False, indent=1)
-        self.path.write_text(body + "\n", encoding="utf-8")
-
-    def __call__(self, url, payload):
-        key = self.request_key(url, payload)
-        if key in self.entries:
-            return copy.deepcopy(self.entries[key]["response"])
-        if self.record_with is not None:
-            response = self.record_with(url, payload)
-            self.add(url, payload, response)
-            self.save()
-            return response
-        raise BackendError(f"no cassette entry for request {key[:12]} against {url}")
-
-
 class HttpBackend(Backend):
     """OpenAI-compatible chat-completions client.
 
@@ -475,16 +434,7 @@ class HttpBackend(Backend):
     def __init__(self, profile, transport=None):
         self.profile = profile
         self.model = profile.model
-        if transport is not None:
-            self.transport = transport
-        elif profile.cassette and profile.replay:
-            self.transport = CassetteTransport(profile.cassette)
-        elif profile.cassette:
-            self.transport = CassetteTransport(
-                profile.cassette, record_with=RequestsTransport(profile.auth_env, profile.timeout)
-            )
-        else:
-            self.transport = RequestsTransport(profile.auth_env, profile.timeout)
+        self.transport = transport or RequestsTransport(profile.auth_env, profile.timeout)
 
     def _url(self, route):
         return self.profile.endpoint.rstrip("/") + route

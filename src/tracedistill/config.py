@@ -2,19 +2,22 @@
 
 Relative paths in the config resolve against the config file's directory,
 so a config can travel with its data. A non-object document, an unknown
-top-level key, or a value that fails its cast or range check is a config
-error. Backend profiles are declared per role (generation, embedding,
-reward, judge, and optionally one per cascade agent; any other role is a
-config error); every backend is wrapped in the shared on-disk cache under
-the working directory. A profile's ``max_inflight`` is the one concurrency
-setting: it caps the requests in flight to that backend and sizes the
-thread pool of every fan-out that calls it.
+top-level key, or a value of the wrong type or out of its range is a config
+error, so every subcommand rejects it before any work. Backend profiles are
+declared per role (generation, embedding, reward, judge, and optionally one
+per cascade agent; any other role or an unknown profile field is a config
+error); every backend is wrapped in the shared on-disk cache under the
+working directory, the one record of endpoint answers reused across runs.
+A profile's ``max_inflight`` is the one concurrency setting: it caps the
+requests in flight to that backend and sizes the thread pool of every
+fan-out that calls it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from .backends import BackendProfile, ConfigError, GenParams, make_backend
 from .cascade import AGENTS
 from .evalharness import EvalError, MatchPolicy
 from .filtering import STRATEGIES
+from .induction import NORMALIZATIONS
 
 CONFIG_SCHEMA_VERSION = 1
 REQUIRED_ROLES = ("generation", "embedding", "reward", "judge")
@@ -29,6 +33,7 @@ CONFIG_KEYS = (
     "schema_version", "seed", "k", "n_candidates", "strategy", "temperature", "max_tokens",
     "held_out_fraction", "normalization", "reward_threshold", "paths", "policy", "backends",
 )
+PROFILE_INTEGERS = ("max_inflight", "retry_budget", "seed", "embed_dim")
 
 
 @dataclass
@@ -58,11 +63,28 @@ def _resolve(base, value):
     return path if path.is_absolute() else (base / path)
 
 
-def _number(raw, key, cast, default):
+def _integer(raw, key, default):
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(raw, key, default):
+    value = raw.get(key, default)
     try:
-        return cast(raw.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be a number, got {raw[key]!r}") from exc
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
+def _object(raw, key):
+    value = raw.get(key) or {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _parse_policy(raw):
@@ -74,9 +96,12 @@ def _parse_policy(raw):
 
 def _parse_profile(role, raw):
     try:
-        return BackendProfile(**raw)
+        profile = BackendProfile(**raw)
+        for key in PROFILE_INTEGERS:
+            _integer(vars(profile), key, None)
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"invalid backend profile {role!r}: {exc}") from exc
+    return profile
 
 
 def load_config(path):
@@ -99,10 +124,13 @@ def load_config(path):
         raise ConfigError(f"unknown config keys {unknown}; expected only {CONFIG_KEYS}")
 
     base = path.parent
-    paths = raw.get("paths") or {}
+    paths = _object(raw, "paths")
     for key in ("seed", "pool", "workdir"):
         if key not in paths:
             raise ConfigError(f"paths.{key} is required")
+    for key, value in paths.items():
+        if not isinstance(value, str):
+            raise ConfigError(f"paths.{key} must be a string, got {value!r}")
     seed_path = _resolve(base, paths["seed"])
     pool_path = _resolve(base, paths["pool"])
     workdir = _resolve(base, paths["workdir"])
@@ -113,14 +141,25 @@ def load_config(path):
     if gold_path is not None and not gold_path.exists():
         raise ConfigError(f"paths.gold does not exist: {gold_path}")
 
-    k = _number(raw, "k", int, 5)
+    k = _integer(raw, "k", 5)
     if k < 0:
         raise ConfigError("k must be >= 0")
+    n_candidates = _integer(raw, "n_candidates", 4)
+    if n_candidates < 2:
+        raise ConfigError("n_candidates must be >= 2: preference scoring needs a pair")
+    held_out_fraction = _number(raw, "held_out_fraction", 0.25)
+    if not 0.0 < held_out_fraction < 1.0:
+        raise ConfigError(f"held_out_fraction must be in (0, 1), got {held_out_fraction}")
+    normalization = raw.get("normalization", "zscore")
+    if normalization not in NORMALIZATIONS:
+        raise ConfigError(
+            f"unknown normalization {normalization!r}; expected one of {NORMALIZATIONS}"
+        )
     strategy = raw.get("strategy", "average")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
-    backends_raw = raw.get("backends") or {}
+    backends_raw = _object(raw, "backends")
     for role in REQUIRED_ROLES:
         if role not in backends_raw:
             raise ConfigError(f"backends.{role} is required")
@@ -134,21 +173,21 @@ def load_config(path):
 
     try:
         params = GenParams(
-            temperature=_number(raw, "temperature", float, 0.1),
-            max_tokens=_number(raw, "max_tokens", int, 1024),
-            seed=_number(raw, "seed", int, 0),
+            temperature=_number(raw, "temperature", 0.1),
+            max_tokens=_integer(raw, "max_tokens", 1024),
+            seed=_integer(raw, "seed", 0),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     return RunConfig(
         k=k,
-        n_candidates=_number(raw, "n_candidates", int, 4),
+        n_candidates=n_candidates,
         strategy=strategy,
         params=params,
-        held_out_fraction=_number(raw, "held_out_fraction", float, 0.25),
-        normalization=raw.get("normalization", "zscore"),
-        reward_threshold=_number(raw, "reward_threshold", float, 0.0),
+        held_out_fraction=held_out_fraction,
+        normalization=normalization,
+        reward_threshold=_number(raw, "reward_threshold", 0.0),
         seed_path=seed_path,
         pool_path=pool_path,
         workdir=workdir,

@@ -201,11 +201,18 @@ def _load_eval_file(path):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise EvalError(f"{path}: line {line_no}: invalid JSON: {exc.msg}") from None
+        if not isinstance(obj, dict):
+            raise EvalError(f"{path}: line {line_no}: expected an object")
         fields = _index_keys(obj)
         ident = str(fields.get("id", f"line-{line_no}"))
-        conditions = [str(c) for c in fields.get("question_parsing") or []]
+        for name in ("question_parsing", "cot_parsing"):
+            if not isinstance(fields.get(name, []), list):
+                raise EvalError(f"{path}: line {line_no}: {name} must be a list")
+        conditions = [str(c) for c in fields.get("question_parsing", [])]
         steps = []
-        for step in fields.get("cot_parsing") or []:
+        for step in fields.get("cot_parsing", []):
+            if not isinstance(step, dict):
+                raise EvalError(f"{path}: line {line_no}: each cot_parsing step must be an object")
             step_fields = _index_keys(step)
             steps.append(
                 (

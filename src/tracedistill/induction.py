@@ -44,6 +44,8 @@ class CandidatePrompt:
 
 @dataclass
 class InductionConfig:
+    """Induction settings; ``config.load_config`` range-checks the values it reads."""
+
     subtask: str
     n_candidates: int = 4
     reverse_prompt: str = prompts.REVERSE_INSTRUCTION
@@ -56,12 +58,6 @@ class InductionConfig:
     def __post_init__(self):
         if self.subtask not in SUBTASKS:
             raise InductionError(f"unknown subtask {self.subtask!r}; expected one of {SUBTASKS}")
-        if self.n_candidates < 2:
-            raise InductionError("n_candidates must be >= 2: preference scoring needs a pair")
-        if not 0.0 < self.held_out_fraction < 1.0:
-            raise InductionError("held_out_fraction must be in (0, 1)")
-        if self.normalization not in NORMALIZATIONS:
-            raise InductionError(f"unknown normalization {self.normalization!r}")
 
 
 def _candidate_messages(candidate_text, example, subtask):

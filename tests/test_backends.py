@@ -4,13 +4,13 @@ import threading
 
 import numpy as np
 import pytest
+import requests
 
 from tracedistill import prompts
 from tracedistill.backends import (
     BackendError,
     CachingBackend,
     CapabilityError,
-    CassetteTransport,
     ChatMessage,
     ConfigError,
     GenParams,
@@ -18,6 +18,7 @@ from tracedistill.backends import (
     BackendProfile,
     MockBackend,
     RequestsTransport,
+    TransientBackendError,
     build_reward_payload,
 )
 from tracedistill.synthesis import parse_ucot, ParseFailure
@@ -342,36 +343,18 @@ def test_http_non_finite_reward_is_backend_error_and_not_cached(tmp_path, respon
     assert not list(tmp_path.rglob("*.json"))
 
 
-def test_http_reward_replayed_from_cassette(tmp_path):
-    """The recorded fixture value comes back over the wire format with zero network."""
-    cassette_path = tmp_path / "reward.json"
-    profile = BackendProfile(
-        kind="http",
-        endpoint="https://rm.test/v1",
-        model="rm",
-        cassette=str(cassette_path),
-        replay=True,
-    )
+def test_http_reward_reads_top_level_score():
+    """A top-level "score" field is the reward, as sent over the wire format."""
+    profile = BackendProfile(kind="http", endpoint="https://rm.test/v1", model="rm")
     context = _user("zero-shot scoring context")
     payload = build_reward_payload("rm", context, "the synthesized reasoning")
-    cassette = CassetteTransport(cassette_path)
-    cassette.add("https://rm.test/v1/chat/completions", payload, {"score": GOLD_REWARD_ZERO})
-    cassette.save()
 
-    backend = HttpBackend(profile)
+    def transport(url, sent):
+        assert (url, sent) == ("https://rm.test/v1/chat/completions", payload)
+        return {"score": GOLD_REWARD_ZERO}
+
+    backend = HttpBackend(profile, transport=transport)
     assert backend.reward(context, "the synthesized reasoning") == GOLD_REWARD_ZERO
-
-
-def test_cassette_miss_is_backend_error(tmp_path):
-    cassette_path = tmp_path / "empty.json"
-    CassetteTransport(cassette_path).save()
-    profile = BackendProfile(
-        kind="http", endpoint="https://rm.test/v1", model="rm",
-        cassette=str(cassette_path), replay=True,
-    )
-    backend = HttpBackend(profile)
-    with pytest.raises(BackendError):
-        backend.generate(_user("unrecorded"), PARAMS)
 
 
 def test_http_reward_parses_content_float():
@@ -387,6 +370,58 @@ def test_requests_transport_requires_auth_token(monkeypatch):
     transport = RequestsTransport(auth_env="MISSING_TOKEN")
     with pytest.raises(ConfigError):
         transport("https://example.test/v1/chat/completions", {})
+
+
+class _FakeResponse:
+    def __init__(self, status_code, text):
+        self.status_code = status_code
+        self.text = text
+
+    def json(self):
+        return json.loads(self.text)
+
+
+def _fake_post(status, text, sent=None):
+    def post(url, **kwargs):
+        if sent is not None:
+            sent.append((url, kwargs))
+        if isinstance(text, Exception):
+            raise text
+        return _FakeResponse(status, text)
+
+    return post
+
+
+def test_requests_transport_posts_json_with_bearer_token(monkeypatch):
+    monkeypatch.setenv("RM_TOKEN", "s3cret")
+    sent = []
+    transport = RequestsTransport(auth_env="RM_TOKEN", timeout=5.0)
+    monkeypatch.setattr(transport._session, "post", _fake_post(200, '{"score": 1.5}', sent))
+    url = "https://rm.test/v1/chat/completions"
+    assert transport(url, {"model": "rm"}) == {"score": 1.5}
+    headers = {"Content-Type": "application/json", "Authorization": "Bearer s3cret"}
+    assert sent == [(url, {"json": {"model": "rm"}, "headers": headers, "timeout": 5.0})]
+
+
+@pytest.mark.parametrize(
+    "status, text, error",
+    [
+        (429, "slow down", TransientBackendError),
+        (500, "internal error", TransientBackendError),
+        (503, "unavailable", TransientBackendError),
+        (None, requests.ConnectionError("refused"), TransientBackendError),
+        (400, "bad request", BackendError),
+        (404, "no such route", BackendError),
+        (200, "<html>not json</html>", BackendError),
+    ],
+    ids=["429", "500", "503", "connection", "400", "404", "not-json"],
+)
+def test_requests_transport_maps_failures(monkeypatch, status, text, error):
+    transport = RequestsTransport()
+    monkeypatch.setattr(transport._session, "post", _fake_post(status, text))
+    with pytest.raises(BackendError) as exc:
+        transport("https://example.test/v1/chat/completions", {})
+    assert type(exc.value) is error
 
 
 def test_mock_judge_line_yields_single_verdict():

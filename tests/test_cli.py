@@ -12,7 +12,7 @@ from conftest import (
 )
 from tracedistill import backends as backends_module
 from tracedistill import prompts
-from tracedistill.backends import CassetteTransport, build_reward_payload
+from tracedistill.backends import build_reward_payload
 from tracedistill.cli import build_parser, main
 from tracedistill.corpus import instance_to_json, seed_to_json, trace_to_json
 from tracedistill.filtering import build_reward_prompts
@@ -209,19 +209,12 @@ def test_rerun_produces_identical_manifests(tmp_path):
         assert (workdir / "manifests" / f"{name}.json").read_bytes() == blob
 
 
-def test_filter_audit_shows_exact_average_for_recorded_rewards(tmp_path):
-    """Reward scores replayed over the wire; the audit carries the exact mean."""
-    cassette_path = tmp_path / "reward_cassette.json"
+def test_filter_audit_shows_exact_average_for_recorded_rewards(tmp_path, monkeypatch):
+    """Reward scores served over the wire; the audit carries the exact mean."""
     config_path = make_config(
         tmp_path,
         backend_overrides={
-            "reward": {
-                "kind": "http",
-                "model": "rm",
-                "endpoint": "https://rm.test/v1",
-                "cassette": str(cassette_path),
-                "replay": True,
-            }
+            "reward": {"kind": "http", "model": "rm", "endpoint": "https://rm.test/v1"}
         },
     )
     workdir = tmp_path / "work"
@@ -239,8 +232,8 @@ def test_filter_audit_shows_exact_average_for_recorded_rewards(tmp_path):
     )
     write_jsonl(workdir / "synthesized.jsonl", [record_to_json(record)])
 
-    # Reproduce the contexts the filter stage will build, then record both
-    # reward responses against their request hashes.
+    # Reproduce the contexts the filter stage will build, then answer both
+    # reward requests by their exact payloads.
     from tracedistill.config import load_config, build_backends
 
     config = load_config(config_path)
@@ -250,11 +243,16 @@ def test_filter_audit_shows_exact_average_for_recorded_rewards(tmp_path):
     index = build_index(seeds, backends["embedding"].embed, encoder="embed-mock")
     hits = top_k(index, gold.instance.question, config.k, exclude={gold.instance.id})
     few, zero = build_reward_prompts(gold.instance, hits, seed_by_id)
-    cassette = CassetteTransport(cassette_path)
-    url = "https://rm.test/v1/chat/completions"
-    cassette.add(url, build_reward_payload("rm", few, record.ucot_raw), {"score": GOLD_REWARD_FEW})
-    cassette.add(url, build_reward_payload("rm", zero, record.ucot_raw), {"score": GOLD_REWARD_ZERO})
-    cassette.save()
+    scores = {
+        json.dumps(build_reward_payload("rm", few, record.ucot_raw)): GOLD_REWARD_FEW,
+        json.dumps(build_reward_payload("rm", zero, record.ucot_raw)): GOLD_REWARD_ZERO,
+    }
+
+    def transport(url, payload):
+        assert url == "https://rm.test/v1/chat/completions"
+        return {"score": scores[json.dumps(payload)]}
+
+    monkeypatch.setattr(backends_module, "RequestsTransport", lambda *args: transport)
 
     assert main(["filter", "--config", str(config_path)]) == 0
     audit = [
@@ -428,8 +426,36 @@ def test_unknown_top_level_config_key_is_a_config_error(tmp_path, capsys, key):
 
 @pytest.mark.parametrize(
     "overrides",
-    [{"k": "three"}, {"temperature": 5}, {"max_tokens": 0}],
-    ids=["k-not-a-number", "temperature-out-of-range", "max-tokens-zero"],
+    [
+        {"k": "three"},
+        {"temperature": 5},
+        {"max_tokens": 0},
+        {"reward_threshold": float("nan")},
+        {"n_candidates": 1},
+        {"held_out_fraction": 7},
+        {"normalization": "minmax"},
+        {"paths": {"seed": 5, "pool": "pool.jsonl", "workdir": "work"}},
+        {"paths": ["seed", "pool", "workdir"]},
+        {"backends": "generation embedding reward judge"},
+        {"k": 2.7},
+        {"k": True},
+        {"seed": 1.5},
+    ],
+    ids=[
+        "k-not-a-number",
+        "temperature-out-of-range",
+        "max-tokens-zero",
+        "reward-threshold-nan",
+        "n-candidates-one",
+        "held-out-fraction-seven",
+        "normalization-unknown",
+        "paths-seed-not-a-string",
+        "paths-not-an-object",
+        "backends-not-an-object",
+        "k-fraction",
+        "k-bool",
+        "seed-fraction",
+    ],
 )
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, overrides):
     config = make_config(tmp_path, overrides=overrides)
@@ -437,6 +463,20 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, overrides):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "ConfigError"
     assert next(iter(overrides)) in err["message"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("cassette", "reward.json"), ("replay", True), ("retry_budget", 1.5), ("max_inflight", True)],
+    ids=["cassette", "replay", "retry-budget-fraction", "max-inflight-bool"],
+)
+def test_bad_profile_field_is_a_config_error(tmp_path, capsys, field, value):
+    reward = {"kind": "http", "model": "rm", "endpoint": "https://rm.test/v1", field: value}
+    config = make_config(tmp_path, backend_overrides={"reward": reward})
+    assert main(["infer", "--config", str(config)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert "'reward'" in err["message"] and field in err["message"]
 
 
 def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys):

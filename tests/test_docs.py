@@ -1,25 +1,36 @@
-"""Documented command lines must parse with the real CLI parser.
+"""Documented command lines must parse with the real CLI parser, and the
+README must name every config setting.
 
 Every usage line in the `cli` module docstring and every `tracedistill ...`
 line in the README Quickstart is parsed with `build_parser()`: once with
 its required part alone, then once per `[...]` group and per `|`
 alternative inside a group. A flag removed from the parser but left in the
-docs fails here.
+docs fails here. The README Configuration section must name, in backticks,
+every top-level config key, every backend profile field and every match
+policy field, so a setting added to the code but not the docs fails too.
 """
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from tracedistill import cli
+from tracedistill.backends import BackendProfile
+from tracedistill.config import CONFIG_KEYS
+from tracedistill.evalharness import MatchPolicy
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _quickstart_lines():
+def _readme_section(title):
     text = README.read_text(encoding="utf-8")
-    section = text.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _quickstart_lines():
+    section = _readme_section("Quickstart")
     return [line.strip() for line in section.splitlines() if line.strip().startswith("tracedistill ")]
 
 
@@ -52,3 +63,11 @@ def test_documented_command_line_parses(line):
             parser.parse_args(argv)
         except SystemExit as exc:
             pytest.fail(f"documented command {' '.join(argv)!r} does not parse (exit {exc.code})")
+
+
+def test_configuration_names_every_setting():
+    section = _readme_section("Configuration")
+    names = list(CONFIG_KEYS)
+    names += [f.name for cls in (BackendProfile, MatchPolicy) for f in fields(cls)]
+    missing = [name for name in names if f"`{name}`" not in section]
+    assert not missing, f"README Configuration does not name {missing}"

@@ -228,6 +228,25 @@ def test_id_mismatch_lists_missing_ids(tmp_path):
     assert "b" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [1, 2],
+        {"id": "b", "question_parsing": ["c"], "cot_parsing": ["a step as text"]},
+        {"id": "b", "question_parsing": "abc", "cot_parsing": []},
+        {"id": "b", "question_parsing": ["c"], "cot_parsing": {"statement": "s"}},
+    ],
+    ids=["line-not-an-object", "step-not-an-object", "qp-not-a-list", "cot-not-a-list"],
+)
+def test_malformed_record_is_an_eval_error_naming_file_and_line(tmp_path, bad):
+    rows = [_row("a", ["c"], [("s", "e", True)])]
+    pred, gold = _write_pair(tmp_path, rows + [bad], rows + [_row("b", ["c"], [])])
+    with pytest.raises(EvalError) as err:
+        evaluate(pred, gold)
+    assert str(pred) in str(err.value)
+    assert "line 2" in str(err.value)
+
+
 def test_step_f1_levels_on_identical_files(tmp_path):
     gold = gold_record_dict()
     pred, gold_path = _write_pair(tmp_path, [gold], [gold])

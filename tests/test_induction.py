@@ -26,11 +26,6 @@ def _config(**overrides):
     return InductionConfig(**base)
 
 
-def test_config_rejects_single_candidate():
-    with pytest.raises(InductionError):
-        _config(n_candidates=1)
-
-
 def test_config_rejects_unknown_subtask():
     with pytest.raises(InductionError):
         _config(subtask="CV")
