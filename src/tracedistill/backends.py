@@ -8,8 +8,8 @@ Three implementations share one call surface:
 * ``HttpBackend``: OpenAI-compatible chat-completions/embeddings client
   with bearer-token auth; tests inject a transport instead of the network.
 * ``CachingBackend``: wraps either of the above with an on-disk result
-  cache (one file per call, no in-memory copy), a bounded in-flight
-  semaphore, and retries for transient failures.
+  cache (one SQLite file per cache dir, no in-memory copy), a bounded
+  in-flight semaphore, and retries for transient failures.
 
 Mock response scheme (tests rely on this being stable):
 
@@ -37,6 +37,7 @@ import json
 import logging
 import math
 import os
+import sqlite3
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -52,6 +53,15 @@ from . import prompts
 log = logging.getLogger(__name__)
 
 CACHE_SCHEMA_VERSION = 1
+CACHE_FILE = "calls.sqlite"
+# WAL lets a reader in another process share the file; the small page cache
+# keeps each open connection's memory near the interpreter's own.
+CACHE_SETUP = """
+PRAGMA journal_mode=WAL;
+PRAGMA synchronous=NORMAL;
+PRAGMA cache_size=-256;
+CREATE TABLE IF NOT EXISTS calls (key TEXT PRIMARY KEY, result TEXT);
+"""
 ROLES = ("system", "user", "assistant")
 
 
@@ -69,6 +79,10 @@ class CapabilityError(BackendError):
 
 class ConfigError(Exception):
     """Invalid profile or run configuration."""
+
+
+class CacheError(Exception):
+    """The call cache file cannot be opened, read or written as a SQLite store."""
 
 
 @dataclass(frozen=True)
@@ -118,8 +132,14 @@ class BackendProfile:
     def __post_init__(self):
         if self.kind not in ("mock", "http"):
             raise ConfigError(f"unknown backend kind {self.kind!r}")
+        for key in ("max_inflight", "retry_budget", "seed", "embed_dim"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.max_inflight < 1:
             raise ConfigError("max_inflight must be >= 1")
+        if self.retry_budget < 0:
+            raise ConfigError(f"retry_budget must be >= 0, got {self.retry_budget}")
         if self.kind == "http" and not self.endpoint:
             raise ConfigError("http backend requires an endpoint")
 
@@ -488,15 +508,31 @@ class HttpBackend(Backend):
 _MISS = object()
 
 
+def _open_store(cache_dir):
+    """A connection to ``cache_dir/calls.sqlite``, created if absent, that any thread may use."""
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    db = sqlite3.connect(cache_dir / CACHE_FILE, isolation_level=None, check_same_thread=False)
+    try:
+        db.executescript(CACHE_SETUP)
+    except sqlite3.DatabaseError:
+        db.close()
+        raise
+    return db
+
+
 class CachingBackend(Backend):
     """Disk-cached, retrying, concurrency-bounded wrapper around a backend.
 
     Cache keys cover the model name, the operation, the full payload, and a
     schema version, so identical calls return identical bytes without
-    touching the wrapped backend. Each result lives only in its file under
-    ``cache_dir``; a missing, torn or non-object file is a miss. With no
-    ``cache_dir`` nothing is cached, and every call reaches the wrapped
-    backend (still retried and bounded).
+    touching the wrapped backend. Results live only in the SQLite file
+    ``cache_dir/calls.sqlite``, one ``(key, result)`` row per call, read on
+    every hit; a missing row, or one whose text is not a ``{"result": ...}``
+    object, is a miss. One connection is opened on the first cache access
+    and shared by every thread under ``_lock``; ``close()`` releases it, and
+    the next access opens it again. A file there that SQLite cannot use is a
+    ``CacheError``. With no ``cache_dir`` nothing is cached, and every call
+    reaches the wrapped backend (still retried and bounded).
     """
 
     def __init__(self, inner, cache_dir=None, max_inflight=4, retry_budget=2):
@@ -507,6 +543,7 @@ class CachingBackend(Backend):
         self.max_inflight = max_inflight
         self._sem = threading.BoundedSemaphore(max_inflight)
         self._lock = threading.Lock()
+        self._db = None
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -518,31 +555,47 @@ class CachingBackend(Backend):
             "inner_calls": dict(getattr(self.inner, "calls", {})),
         }
 
-    def _path(self, op, payload):
+    def close(self):
+        """Close the store connection, which folds SQLite's side files back into it."""
+        with self._lock:
+            if self._db is not None:
+                self._db.close()
+                self._db = None
+
+    def _key(self, op, payload):
         blob = json.dumps(
             {"v": CACHE_SCHEMA_VERSION, "model": self.model, "op": op, "payload": payload},
             sort_keys=True,
             ensure_ascii=False,
         )
-        key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-        return self.cache_dir / key[:2] / f"{key}.json"
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def _load(self, path):
+    def _execute(self, sql, args):
+        """Run one statement on the store, opening it first if need be; the first row."""
+        with self._lock:
+            try:
+                if self._db is None:
+                    self._db = _open_store(self.cache_dir)
+                return self._db.execute(sql, args).fetchone()
+            except sqlite3.DatabaseError as exc:
+                path = self.cache_dir / CACHE_FILE
+                raise CacheError(f"call cache {path} is unusable: {exc}") from None
+
+    def _load(self, key):
+        row = self._execute("SELECT result FROM calls WHERE key = ?", (key,))
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, ValueError):
+            entry = json.loads(row[0])
+        except (TypeError, ValueError):  # no row, a NULL or a torn text
             return _MISS
         return entry["result"] if isinstance(entry, dict) and "result" in entry else _MISS
 
-    def _store(self, path, value):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp{os.getpid()}.{threading.get_ident()}")
-        tmp.write_text(json.dumps({"result": value}, ensure_ascii=False), encoding="utf-8")
-        os.replace(tmp, path)
+    def _store(self, key, value):
+        text = json.dumps({"result": value}, ensure_ascii=False)
+        self._execute("INSERT OR REPLACE INTO calls (key, result) VALUES (?, ?)", (key, text))
 
     def _call(self, op, payload, compute):
-        path = None if self.cache_dir is None else self._path(op, payload)
-        cached = _MISS if path is None else self._load(path)
+        key = None if self.cache_dir is None else self._key(op, payload)
+        cached = _MISS if key is None else self._load(key)
         if cached is not _MISS:
             with self._lock:
                 self.cache_hits += 1
@@ -563,8 +616,8 @@ class CachingBackend(Backend):
                 ) from last
         with self._lock:
             self.cache_misses += 1
-        if path is not None:
-            self._store(path, value)
+        if key is not None:
+            self._store(key, value)
         return value
 
     def generate(self, messages, params):

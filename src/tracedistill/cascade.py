@@ -183,22 +183,23 @@ class CascadePipeline:
     """Wire the three agents over one shared retrieval pass per instance.
 
     `backends` maps every name in AGENTS to a backend; the Verifier's runs
-    both its evidence and its verify pass.
+    both its evidence and its verify pass. `cards` maps each seed id to its
+    demo cards (`prompts.seed_cards`).
     """
 
-    def __init__(self, backends, index, seed_by_id, k=5, params=None):
+    def __init__(self, backends, index, cards, k=5, params=None):
         missing = [a for a in AGENTS if a not in backends]
         if missing:
             raise CascadeError(f"missing agent backends: {missing}")
         self.backends = backends
         self.index = index
-        self.seed_by_id = seed_by_id
+        self.cards = cards
         self.k = k
         self.params = params or GenParams()
 
     def run(self, instance):
         hits = top_k(self.index, instance.question, self.k, exclude={instance.id})
-        demos = demo_pairs_full(hits, self.seed_by_id)
+        demos = demo_pairs_full(hits, self.cards)
         flags = []
 
         qp, qp_stage = parse_question(instance, demos, self.backends[PARSER], self.params)

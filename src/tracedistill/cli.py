@@ -14,9 +14,11 @@ Every run writes a manifest (config hash, input hashes, output hashes,
 format versions) under <workdir>/manifests/ and call-count diagnostics
 under <workdir>/logs/. Manifests contain no timestamps: rerunning a
 subcommand on unchanged inputs reproduces it byte for byte. The on-disk
-call cache is the only state reused across runs; index.bin is written by
+call cache is the only state reused across runs, and every subcommand
+closes its cache connections before it returns; index.bin is written by
 synthesize and read by no stage. Concurrent invocations against one
-working directory are rejected via a lock file. Failures print a
+working directory are rejected via a lock file that records the owner's
+pid; a lock whose pid no longer exists is taken over. Failures print a
 machine-readable JSON error on stderr and exit nonzero.
 """
 
@@ -31,7 +33,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .backends import CACHE_SCHEMA_VERSION, BackendError, ConfigError
+from .backends import CACHE_SCHEMA_VERSION, BackendError, CacheError, ConfigError
 from .cascade import CascadeError, CascadePipeline, write_predictions
 from .config import CONFIG_SCHEMA_VERSION, build_backends, load_config
 from .corpus import (
@@ -48,6 +50,7 @@ from .corpus import (
 from .evalharness import EvalError, evaluate, format_report
 from .filtering import STRATEGIES, run_filter, to_training_example
 from .induction import InductionConfig, InductionError, induce_prompt
+from .prompts import seed_cards
 from .retrieval import INDEX_FORMAT, RetrievalError, build_index, save_index
 from .synthesis import load_records, record_to_json, synthesize_batch
 
@@ -70,6 +73,7 @@ EXIT_CODES = {
     MissingArtifactError: 3,
     WorkdirLockedError: 4,
     DatasetError: 5,
+    CacheError: 5,
     CascadeError: 5,
     RetrievalError: 5,
     BackendError: 6,
@@ -80,11 +84,29 @@ def _sha256_file(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _owner_is_gone(lock):
+    """True when the lock file names a pid that no longer exists."""
+    try:
+        os.kill(int(lock.read_text(encoding="utf-8")), 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError):  # no file, unreadable text, or a pid we may not signal
+        return False
+    return False
+
+
 @contextmanager
 def workdir_lock(workdir):
+    """Hold ``<workdir>/.lock`` (it records our pid) for the block.
+
+    A lock left by a process that no longer exists is taken over; one whose
+    owner is alive, or whose content is not a pid, is a ``WorkdirLockedError``.
+    """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     lock = workdir / ".lock"
+    if _owner_is_gone(lock):
+        lock.unlink(missing_ok=True)
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
@@ -100,6 +122,17 @@ def workdir_lock(workdir):
             lock.unlink()
         except FileNotFoundError:
             pass
+
+
+@contextmanager
+def open_backends(config):
+    """The run's backends (``build_backends``), every one closed when the block exits."""
+    backends = build_backends(config)
+    try:
+        yield backends
+    finally:
+        for backend in set(backends.values()):
+            backend.close()
 
 
 def write_manifest(config, command, inputs, outputs):
@@ -172,80 +205,80 @@ def _seed_index(config, backends, seed):
 
 
 def cmd_induce(config, args):
-    backends = build_backends(config)
-    seed = load_seed(config.seed_path)
-    outputs = []
-    for subtask in ("QP", "UCoT"):
-        icfg = InductionConfig(
-            subtask=subtask,
-            n_candidates=config.n_candidates,
-            held_out_fraction=config.held_out_fraction,
-            normalization=config.normalization,
-            temperature=config.params.temperature,
-            max_tokens=config.params.max_tokens,
-            base_seed=config.params.seed,
-        )
-        winner, report = induce_prompt(
-            icfg,
-            seed,
-            backends["generation"],
-            judge_backend=backends["judge"],
-            reward_backend=backends["reward"],
-        )
-        report["backends"] = {
-            "generation": config.profiles["generation"].model,
-            "judge": config.profiles["judge"].model,
-            "reward": config.profiles["reward"].model,
-        }
-        text_path, report_path = _prompt_paths(config, subtask)
-        text_path.parent.mkdir(parents=True, exist_ok=True)
-        text_path.write_text(winner.text + "\n", encoding="utf-8")
-        report_path.write_text(
-            json.dumps(report, sort_keys=True, ensure_ascii=False, indent=1) + "\n",
-            encoding="utf-8",
-        )
-        outputs += [text_path, report_path]
-    write_run_stats(config, "induce", backends)
-    write_manifest(config, "induce", {"seed": config.seed_path}, outputs)
-    print(f"induced prompts for QP and UCoT -> {config.workdir / 'prompts'}")
-    return 0
+    with open_backends(config) as backends:
+        seed = load_seed(config.seed_path)
+        outputs = []
+        for subtask in ("QP", "UCoT"):
+            icfg = InductionConfig(
+                subtask=subtask,
+                n_candidates=config.n_candidates,
+                held_out_fraction=config.held_out_fraction,
+                normalization=config.normalization,
+                temperature=config.params.temperature,
+                max_tokens=config.params.max_tokens,
+                base_seed=config.params.seed,
+            )
+            winner, report = induce_prompt(
+                icfg,
+                seed,
+                backends["generation"],
+                judge_backend=backends["judge"],
+                reward_backend=backends["reward"],
+            )
+            report["backends"] = {
+                "generation": config.profiles["generation"].model,
+                "judge": config.profiles["judge"].model,
+                "reward": config.profiles["reward"].model,
+            }
+            text_path, report_path = _prompt_paths(config, subtask)
+            text_path.parent.mkdir(parents=True, exist_ok=True)
+            text_path.write_text(winner.text + "\n", encoding="utf-8")
+            report_path.write_text(
+                json.dumps(report, sort_keys=True, ensure_ascii=False, indent=1) + "\n",
+                encoding="utf-8",
+            )
+            outputs += [text_path, report_path]
+        write_run_stats(config, "induce", backends)
+        write_manifest(config, "induce", {"seed": config.seed_path}, outputs)
+        print(f"induced prompts for QP and UCoT -> {config.workdir / 'prompts'}")
+        return 0
 
 
 def cmd_synthesize(config, args):
     qp_instruction = _load_instruction(config, "QP")
     ucot_instruction = _load_instruction(config, "UCoT")
-    backends = build_backends(config)
-    seed = load_seed(config.seed_path)
-    pool = load_questions(config.pool_path)
-    seed_by_id = {e.instance.id: e for e in seed}
-    index = _seed_index(config, backends, seed)
-    index_path = config.workdir / "index.bin"
-    save_index(index, index_path)
+    with open_backends(config) as backends:
+        seed = load_seed(config.seed_path)
+        pool = load_questions(config.pool_path)
+        cards = seed_cards(seed)
+        index = _seed_index(config, backends, seed)
+        index_path = config.workdir / "index.bin"
+        save_index(index, index_path)
 
-    records, errors = synthesize_batch(
-        pool,
-        index,
-        seed_by_id,
-        backends["generation"],
-        qp_instruction=qp_instruction,
-        ucot_instruction=ucot_instruction,
-        k=config.k,
-        params=config.params,
-    )
-    out_path = config.workdir / "synthesized.jsonl"
-    save_jsonl(out_path, (record_to_json(r) for r in records))
-    save_jsonl(config.workdir / "logs" / "synthesize_errors.jsonl", errors)
-    write_run_stats(config, "synthesize", backends)
-    inputs = {
-        "seed": config.seed_path,
-        "pool": config.pool_path,
-        "prompts/QP.txt": _prompt_paths(config, "QP")[0],
-        "prompts/UCoT.txt": _prompt_paths(config, "UCoT")[0],
-    }
-    write_manifest(config, "synthesize", inputs, [out_path, index_path])
-    ok = sum(1 for r in records if r.parse_status == "ok")
-    print(f"synthesized {len(records)} records ({ok} parsed clean) -> {out_path}")
-    return 0
+        records, errors = synthesize_batch(
+            pool,
+            index,
+            cards,
+            backends["generation"],
+            qp_instruction=qp_instruction,
+            ucot_instruction=ucot_instruction,
+            k=config.k,
+            params=config.params,
+        )
+        out_path = config.workdir / "synthesized.jsonl"
+        save_jsonl(out_path, (record_to_json(r) for r in records))
+        save_jsonl(config.workdir / "logs" / "synthesize_errors.jsonl", errors)
+        write_run_stats(config, "synthesize", backends)
+        inputs = {
+            "seed": config.seed_path,
+            "pool": config.pool_path,
+            "prompts/QP.txt": _prompt_paths(config, "QP")[0],
+            "prompts/UCoT.txt": _prompt_paths(config, "UCoT")[0],
+        }
+        write_manifest(config, "synthesize", inputs, [out_path, index_path])
+        ok = sum(1 for r in records if r.parse_status == "ok")
+        print(f"synthesized {len(records)} records ({ok} parsed clean) -> {out_path}")
+        return 0
 
 
 def _filtered_path(config, strategy):
@@ -255,38 +288,38 @@ def _filtered_path(config, strategy):
 def cmd_filter(config, args):
     synth_path = _require(config.workdir / "synthesized.jsonl", "synthesize")
     instruction = _load_instruction(config, "UCoT")
-    backends = build_backends(config)
-    seed = load_seed(config.seed_path)
-    seed_by_id = {e.instance.id: e for e in seed}
-    records = load_records(synth_path)
-    index = _seed_index(config, backends, seed)
-    result = run_filter(
-        records,
-        index,
-        seed_by_id,
-        backends["reward"],
-        k=config.k,
-        threshold=config.reward_threshold,
-        instruction=instruction,
-    )
-    outputs = []
-    for strategy in STRATEGIES:
-        path = _filtered_path(config, strategy)
-        save_jsonl(path, (seed_to_json(to_training_example(r)) for r in result.kept[strategy]))
-        outputs.append(path)
-    audit_path = config.workdir / "filter_audit.jsonl"
-    save_jsonl(audit_path, (o.to_json() for o in result.outcomes))
-    outputs.append(audit_path)
-    write_run_stats(config, "filter", backends)
-    inputs = {
-        "synthesized": synth_path,
-        "seed": config.seed_path,
-        "prompts/UCoT.txt": _prompt_paths(config, "UCoT")[0],
-    }
-    write_manifest(config, "filter", inputs, outputs)
-    sizes = ", ".join(f"{s}={len(result.kept[s])}" for s in STRATEGIES)
-    print(f"filtered {len(records)} records -> kept {sizes}; audit -> {audit_path}")
-    return 0
+    with open_backends(config) as backends:
+        seed = load_seed(config.seed_path)
+        cards = seed_cards(seed)
+        records = load_records(synth_path)
+        index = _seed_index(config, backends, seed)
+        result = run_filter(
+            records,
+            index,
+            cards,
+            backends["reward"],
+            k=config.k,
+            threshold=config.reward_threshold,
+            instruction=instruction,
+        )
+        outputs = []
+        for strategy in STRATEGIES:
+            path = _filtered_path(config, strategy)
+            save_jsonl(path, (seed_to_json(to_training_example(r)) for r in result.kept[strategy]))
+            outputs.append(path)
+        audit_path = config.workdir / "filter_audit.jsonl"
+        save_jsonl(audit_path, (o.to_json() for o in result.outcomes))
+        outputs.append(audit_path)
+        write_run_stats(config, "filter", backends)
+        inputs = {
+            "synthesized": synth_path,
+            "seed": config.seed_path,
+            "prompts/UCoT.txt": _prompt_paths(config, "UCoT")[0],
+        }
+        write_manifest(config, "filter", inputs, outputs)
+        sizes = ", ".join(f"{s}={len(result.kept[s])}" for s in STRATEGIES)
+        print(f"filtered {len(records)} records -> kept {sizes}; audit -> {audit_path}")
+        return 0
 
 
 def cmd_export(config, args):
@@ -310,42 +343,42 @@ def _file_is_empty(path):
 
 
 def cmd_infer(config, args):
-    backends = build_backends(config)
-    seed = load_seed(config.seed_path)
-    seed_by_id = {e.instance.id: e for e in seed}
-    instances = load_questions(config.pool_path)
-    missing_cot = [x.id for x in instances if not (x.cot or "").strip()]
-    if missing_cot:
-        raise CascadeError(
-            f"inference instances must carry CoT text; missing for ids {missing_cot[:5]}"
-            + ("..." if len(missing_cot) > 5 else "")
+    with open_backends(config) as backends:
+        seed = load_seed(config.seed_path)
+        cards = seed_cards(seed)
+        instances = load_questions(config.pool_path)
+        missing_cot = [x.id for x in instances if not (x.cot or "").strip()]
+        if missing_cot:
+            raise CascadeError(
+                f"inference instances must carry CoT text; missing for ids {missing_cot[:5]}"
+                + ("..." if len(missing_cot) > 5 else "")
+            )
+        index = _seed_index(config, backends, seed)
+        pipeline = CascadePipeline(
+            backends, index, cards, k=config.k, params=config.params
         )
-    index = _seed_index(config, backends, seed)
-    pipeline = CascadePipeline(
-        backends, index, seed_by_id, k=config.k, params=config.params
-    )
-    outputs = pipeline.run_batch(instances)
-    out_path = Path(args.out) if args.out else config.workdir / "predictions.jsonl"
-    write_predictions(out_path, outputs)
-    timings = {
-        o.instance_id: {
-            name: round(stage.finished - stage.started, 6) for name, stage in o.stages.items()
+        outputs = pipeline.run_batch(instances)
+        out_path = Path(args.out) if args.out else config.workdir / "predictions.jsonl"
+        write_predictions(out_path, outputs)
+        timings = {
+            o.instance_id: {
+                name: round(stage.finished - stage.started, 6) for name, stage in o.stages.items()
+            }
+            for o in outputs
         }
-        for o in outputs
-    }
-    timings_path = config.workdir / "logs" / "infer_timings.json"
-    timings_path.parent.mkdir(parents=True, exist_ok=True)
-    timings_path.write_text(json.dumps(timings, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    write_run_stats(config, "infer", backends)
-    write_manifest(
-        config,
-        "infer",
-        {"seed": config.seed_path, "pool": config.pool_path},
-        [out_path] if out_path.is_relative_to(config.workdir) else [],
-    )
-    flagged = sum(1 for o in outputs if o.flags)
-    print(f"ran cascade on {len(outputs)} instances ({flagged} flagged) -> {out_path}")
-    return 0
+        timings_path = config.workdir / "logs" / "infer_timings.json"
+        timings_path.parent.mkdir(parents=True, exist_ok=True)
+        timings_path.write_text(json.dumps(timings, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        write_run_stats(config, "infer", backends)
+        write_manifest(
+            config,
+            "infer",
+            {"seed": config.seed_path, "pool": config.pool_path},
+            [out_path] if out_path.is_relative_to(config.workdir) else [],
+        )
+        flagged = sum(1 for o in outputs if o.flags)
+        print(f"ran cascade on {len(outputs)} instances ({flagged} flagged) -> {out_path}")
+        return 0
 
 
 def cmd_eval(config, args):

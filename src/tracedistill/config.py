@@ -33,7 +33,6 @@ CONFIG_KEYS = (
     "schema_version", "seed", "k", "n_candidates", "strategy", "temperature", "max_tokens",
     "held_out_fraction", "normalization", "reward_threshold", "paths", "policy", "backends",
 )
-PROFILE_INTEGERS = ("max_inflight", "retry_budget", "seed", "embed_dim")
 
 
 @dataclass
@@ -96,12 +95,9 @@ def _parse_policy(raw):
 
 def _parse_profile(role, raw):
     try:
-        profile = BackendProfile(**raw)
-        for key in PROFILE_INTEGERS:
-            _integer(vars(profile), key, None)
+        return BackendProfile(**raw)
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"invalid backend profile {role!r}: {exc}") from exc
-    return profile
 
 
 def load_config(path):

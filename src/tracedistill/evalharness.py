@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import _index_keys, canonicalize_verification
+from .corpus import SchemaError, _index_keys, canonicalize_verification
 
 EXHAUSTIVE_LIMIT = 12
 
@@ -214,11 +214,15 @@ def _load_eval_file(path):
             if not isinstance(step, dict):
                 raise EvalError(f"{path}: line {line_no}: each cot_parsing step must be an object")
             step_fields = _index_keys(step)
+            try:
+                verdict = canonicalize_verification(step_fields.get("verification", "False"))
+            except SchemaError as exc:
+                raise EvalError(f"{path}: line {line_no}: {exc}") from None
             steps.append(
                 (
                     str(step_fields.get("statement", "")),
                     str(step_fields.get("evidence", "")),
-                    canonicalize_verification(step_fields.get("verification", "False")),
+                    verdict,
                 )
             )
         if ident in out:

@@ -91,7 +91,7 @@ def structural_filter(record):
     )
 
 
-def build_reward_prompts(instance, hits, seed_by_id, instruction=None):
+def build_reward_prompts(instance, hits, cards, instruction=None):
     """Few-shot and zero-shot chat contexts for scoring one synthesized output.
 
     Both are the synthesis UCoT prompt with the same instruction text; only
@@ -104,14 +104,14 @@ def build_reward_prompts(instance, hits, seed_by_id, instruction=None):
     def messages(demos):
         return [ChatMessage(role="user", content=prompts.render("UCoT", instruction, demos, query))]
 
-    return messages(prompts.demo_pairs_ucot(hits, seed_by_id)), messages([])
+    return messages(prompts.demo_pairs_ucot(hits, cards)), messages([])
 
 
-def score_record(record, hits, seed_by_id, backend, instruction=None):
+def score_record(record, hits, cards, backend, instruction=None):
     """Reward the raw synthesized reasoning under both prompt variants."""
     response = record.ucot_raw
     few_messages, zero_messages = build_reward_prompts(
-        record.instance, hits, seed_by_id, instruction
+        record.instance, hits, cards, instruction
     )
     s_few = backend.reward(few_messages, response)
     s_zero = backend.reward(zero_messages, response)
@@ -161,7 +161,7 @@ class FilterResult:
     kept: dict[str, list]  # strategy -> SynthesizedRecords, input order
 
 
-def run_filter(records, index, seed_by_id, reward_backend, k=5,
+def run_filter(records, index, cards, reward_backend, k=5,
                threshold=0.0, instruction=None):
     """Structural stage, reward stage, strategy subsets, audit trail.
 
@@ -179,7 +179,7 @@ def run_filter(records, index, seed_by_id, reward_backend, k=5,
     def job(record):
         try:
             hits = top_k(index, record.instance.question, k, exclude={record.instance.id})
-            return score_record(record, hits, seed_by_id, reward_backend, instruction)
+            return score_record(record, hits, cards, reward_backend, instruction)
         except BackendError as exc:
             log.warning("reward scoring failed for %s: %s", record.instance.id, exc)
             return None

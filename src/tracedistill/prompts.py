@@ -11,13 +11,16 @@ This module owns the cards and the queries. A card is an (input, output)
 pair of text blocks for one retrieved seed example: `demo_pairs_qp` and
 `demo_pairs_ucot` feed synthesis and reward scoring, and `demo_pairs_full`
 is the block every cascade stage shares byte for byte. All of them are
-built from `question_block` and the seed's gold QP and steps blocks. The
-induction meta-prompts (reverse and judge) live here too.
+built from `question_block` and the seed's gold QP and steps blocks.
+`seed_cards` renders each seed's three cards once, so a command that builds
+it up front only looks cards up per prompt. The induction meta-prompts
+(reverse and judge) live here too.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 from . import corpus
 
@@ -178,28 +181,51 @@ def _answer_block(example, subtask):
     return f"{OUTPUT_HEADERS[subtask]}\n{gold_output(example, subtask)}"
 
 
-def demo_pairs_qp(hits, seed_by_id):
+@dataclass(frozen=True)
+class Cards:
+    """One seed example's QP, UCoT and full cards, each an (input, output) pair."""
+
+    qp: tuple[str, str]
+    ucot: tuple[str, str]
+    full: tuple[str, str]
+
+
+def _render_cards(example):
+    """Render a seed example's three cards; each gold block is dumped once."""
+    qp, ucot = _answer_block(example, "QP"), _answer_block(example, "UCoT")
+    question = question_block(example.instance)
+    return Cards(
+        qp=(question, qp),
+        ucot=(question_block(example.instance, cot=True), ucot),
+        full=(question, f"{qp}{_cot_suffix(example.instance)}\n\n{ucot}"),
+    )
+
+
+def seed_cards(seed):
+    """Seed id -> `Cards` for every example of the seed set, rendered once."""
+    return {e.instance.id: _render_cards(e) for e in seed}
+
+
+def _cards(hits, cards):
+    """The hits' cards. `cards` maps seed id to `Cards` (see `seed_cards`), or
+    to the `SeedExample` itself, whose cards are then rendered on the spot."""
+    found = [cards[hit.id] for hit in hits]
+    return [c if isinstance(c, Cards) else _render_cards(c) for c in found]
+
+
+def demo_pairs_qp(hits, cards):
     """QP cards: the question, then its conditions."""
-    examples = [seed_by_id[hit.id] for hit in hits]
-    return [(question_block(e.instance), _answer_block(e, "QP")) for e in examples]
+    return [c.qp for c in _cards(hits, cards)]
 
 
-def demo_pairs_ucot(hits, seed_by_id):
+def demo_pairs_ucot(hits, cards):
     """UCoT cards: the question and its CoT, then its steps."""
-    examples = [seed_by_id[hit.id] for hit in hits]
-    return [(question_block(e.instance, cot=True), _answer_block(e, "UCoT")) for e in examples]
+    return [c.ucot for c in _cards(hits, cards)]
 
 
-def demo_pairs_full(hits, seed_by_id):
+def demo_pairs_full(hits, cards):
     """Full cards shared verbatim by every cascade stage prompt."""
-    examples = [seed_by_id[hit.id] for hit in hits]
-    return [
-        (
-            question_block(e.instance),
-            f"{_answer_block(e, 'QP')}{_cot_suffix(e.instance)}\n\n{_answer_block(e, 'UCoT')}",
-        )
-        for e in examples
-    ]
+    return [c.full for c in _cards(hits, cards)]
 
 
 def verifier_query(instance, statements, evidence=None):

@@ -157,18 +157,21 @@ def resolve_status(qp, trace):
     return STATUS_OK
 
 
-def synthesize(instance, index, seed_by_id, backend, qp_instruction=None,
+def synthesize(instance, index, cards, backend, qp_instruction=None,
                ucot_instruction=None, k=5, params=None):
-    """Generate and parse QP + UCoT annotations for one question."""
+    """Generate and parse QP + UCoT annotations for one question.
+
+    ``cards`` maps each seed id to its demo cards (``prompts.seed_cards``).
+    """
     params = params or GenParams()
     hits = top_k(index, instance.question, k, exclude={instance.id})
     qp_prompt = prompts.render(
         "QP", qp_instruction or prompts.QP_INSTRUCTION,
-        demo_pairs_qp(hits, seed_by_id), question_block(instance),
+        demo_pairs_qp(hits, cards), question_block(instance),
     )
     ucot_prompt = prompts.render(
         "UCoT", ucot_instruction or prompts.UCOT_INSTRUCTION,
-        demo_pairs_ucot(hits, seed_by_id), question_block(instance, cot=True),
+        demo_pairs_ucot(hits, cards), question_block(instance, cot=True),
     )
     qp_raw = backend.generate([ChatMessage(role="user", content=qp_prompt)], params)
     ucot_raw = backend.generate([ChatMessage(role="user", content=ucot_prompt)], params)
@@ -190,14 +193,14 @@ def synthesize(instance, index, seed_by_id, backend, qp_instruction=None,
     )
 
 
-def synthesize_batch(pool, index, seed_by_id, backend, qp_instruction=None,
+def synthesize_batch(pool, index, cards, backend, qp_instruction=None,
                      ucot_instruction=None, k=5, params=None):
     """Synthesize a pool concurrently; returns (records sorted by id, errors)."""
 
     def job(instance):
         try:
             return synthesize(
-                instance, index, seed_by_id, backend,
+                instance, index, cards, backend,
                 qp_instruction=qp_instruction, ucot_instruction=ucot_instruction,
                 k=k, params=params,
             ), None

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import random
+import sqlite3
+from contextlib import closing
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +165,15 @@ def make_example(ident, n_steps=2, n_conditions=2, seed=0, with_cot=True):
         question_parsing=[sentence("Condition", i) for i in range(n_conditions)],
         trace=ReasoningTrace(steps=steps),
     )
+
+
+def cached_rows(root):
+    """The result text of every row of every call cache file under ``root``."""
+    rows = []
+    for path in sorted(Path(root).rglob("calls.sqlite")):
+        with closing(sqlite3.connect(path)) as db:
+            rows += [text for (text,) in db.execute("SELECT result FROM calls")]
+    return rows
 
 
 def write_jsonl(path, rows):

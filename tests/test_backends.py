@@ -1,6 +1,10 @@
 import json
 import shutil
+import sqlite3
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from tracedistill.backends import (
 )
 from tracedistill.synthesis import parse_ucot, ParseFailure
 
-from conftest import GOLD_REWARD_ZERO
+from conftest import GOLD_REWARD_ZERO, cached_rows
 
 
 def _user(content):
@@ -176,6 +180,7 @@ def test_cache_hit_is_served_from_its_file(tmp_path):
     backend = CachingBackend(inner, cache_dir=tmp_path / "c")
     messages = _user("read me back\n\nQuestion Parsing:")
     first = backend.generate(messages, PARAMS)
+    backend.close()
     shutil.rmtree(tmp_path / "c")
     assert backend.generate(messages, PARAMS) == first
     assert inner.calls["generate"] == 2
@@ -195,14 +200,36 @@ def test_no_cache_dir_means_every_call_reaches_the_backend():
 @pytest.mark.parametrize("content", ['{"result": "torn', "[]", '{"other": 1}'])
 def test_unusable_cache_file_is_a_miss(tmp_path, content):
     messages = _user("damaged\n\nQuestion Parsing:")
-    expected = CachingBackend(MockBackend(), cache_dir=tmp_path).generate(messages, PARAMS)
-    (path,) = tmp_path.glob("*/*.json")
-    path.write_text(content, encoding="utf-8")
+    first = CachingBackend(MockBackend(), cache_dir=tmp_path)
+    expected = first.generate(messages, PARAMS)
+    first.close()
+    with closing(sqlite3.connect(tmp_path / "calls.sqlite")) as db, db:
+        assert db.execute("UPDATE calls SET result = ?", (content,)).rowcount == 1
     inner = MockBackend()
     backend = CachingBackend(inner, cache_dir=tmp_path)
     assert backend.generate(messages, PARAMS) == expected
     assert inner.calls["generate"] == 1
-    assert json.loads(path.read_text(encoding="utf-8")) == {"result": expected}
+    assert [json.loads(text) for text in cached_rows(tmp_path)] == [{"result": expected}]
+
+
+def test_store_connection_shared_by_many_threads(tmp_path):
+    messages = [_user(f"stress {i}\n\nQuestion Parsing:") for i in range(40)]
+    expected = [CachingBackend(MockBackend()).generate(m, PARAMS) for m in messages]
+    backend = CachingBackend(MockBackend(), cache_dir=tmp_path, max_inflight=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(lambda m: backend.generate(m, PARAMS), messages * 3, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    backend.close()
+    assert got == expected * 3
+    assert backend.cache_hits + backend.cache_misses == 120
+    assert sorted(json.loads(text)["result"] for text in cached_rows(tmp_path)) == sorted(expected)
+    reopened = CachingBackend(MockBackend(), cache_dir=tmp_path)
+    assert [reopened.generate(m, PARAMS) for m in messages] == expected
+    assert reopened.cache_hits == 40
 
 
 def test_cache_persists_on_disk(tmp_path):
@@ -304,7 +331,7 @@ def test_http_null_chat_content_is_backend_error_and_not_cached(tmp_path):
         with pytest.raises(BackendError, match="malformed chat response"):
             backend.generate(_user("hi"), PARAMS)
         assert len(calls) == attempt
-    assert not list(tmp_path.rglob("*.json"))
+    assert cached_rows(tmp_path) == []
 
 
 @pytest.mark.parametrize("embedding", [None, [1.0, float("nan")], []])
@@ -321,7 +348,7 @@ def test_http_non_finite_embedding_is_backend_error_and_not_cached(tmp_path, emb
         with pytest.raises(BackendError, match="embedding"):
             backend.embed("a question")
         assert len(calls) == attempt
-    assert not list(tmp_path.rglob("*.json"))
+    assert cached_rows(tmp_path) == []
 
 
 @pytest.mark.parametrize(
@@ -340,7 +367,7 @@ def test_http_non_finite_reward_is_backend_error_and_not_cached(tmp_path, respon
         with pytest.raises(BackendError, match="not finite"):
             backend.reward(_user("context"), "the synthesized reasoning")
         assert len(calls) == attempt
-    assert not list(tmp_path.rglob("*.json"))
+    assert cached_rows(tmp_path) == []
 
 
 def test_http_reward_reads_top_level_score():

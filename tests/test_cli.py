@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
@@ -6,6 +10,7 @@ from conftest import (
     GOLD_REWARD_AVG,
     GOLD_REWARD_FEW,
     GOLD_REWARD_ZERO,
+    cached_rows,
     gold_example,
     make_example,
     write_jsonl,
@@ -149,10 +154,31 @@ def test_locked_workdir_rejected(tmp_path, capsys):
     config = make_config(tmp_path)
     workdir = tmp_path / "work"
     workdir.mkdir()
-    (workdir / ".lock").write_text("12345\n", encoding="utf-8")
+    (workdir / ".lock").write_text(f"{os.getpid()}\n", encoding="utf-8")
     assert main(["induce", "--config", str(config)]) == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "WorkdirLockedError"
+
+
+def test_lock_with_unreadable_content_is_kept(tmp_path, capsys):
+    config = make_config(tmp_path)
+    lock = tmp_path / "work" / ".lock"
+    lock.parent.mkdir()
+    lock.write_text("not a pid\n", encoding="utf-8")
+    assert main(["induce", "--config", str(config)]) == 4
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "WorkdirLockedError"
+    assert lock.read_text(encoding="utf-8") == "not a pid\n"
+
+
+def test_lock_of_an_exited_process_is_taken_over(tmp_path):
+    config = make_config(tmp_path)
+    exited = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                            capture_output=True, text=True, check=True, timeout=60)
+    lock = tmp_path / "work" / ".lock"
+    lock.parent.mkdir()
+    lock.write_text(exited.stdout, encoding="utf-8")
+    assert main(["induce", "--config", str(config)]) == 0
+    assert not lock.exists()
 
 
 def test_lock_released_after_run(tmp_path):
@@ -384,10 +410,8 @@ def test_null_chat_completion_is_a_backend_failure_and_never_cached(
     assert first > 0
     assert main(["infer", "--config", str(config)]) == 6
     assert len(requests) > first
-    cached = [
-        json.loads(path.read_text(encoding="utf-8"))["result"]
-        for path in (tmp_path / "work" / "cache").rglob("*.json")
-    ]
+    cached = [json.loads(text)["result"] for text in cached_rows(tmp_path / "work" / "cache")]
+    assert cached
     assert None not in cached
 
 
@@ -467,8 +491,16 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, overrides):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("cassette", "reward.json"), ("replay", True), ("retry_budget", 1.5), ("max_inflight", True)],
-    ids=["cassette", "replay", "retry-budget-fraction", "max-inflight-bool"],
+    [
+        ("cassette", "reward.json"),
+        ("replay", True),
+        ("retry_budget", 1.5),
+        ("retry_budget", -1),
+        ("max_inflight", True),
+        ("max_inflight", "4"),
+    ],
+    ids=["cassette", "replay", "retry-budget-fraction", "retry-budget-negative", "max-inflight-bool",
+         "max-inflight-string"],
 )
 def test_bad_profile_field_is_a_config_error(tmp_path, capsys, field, value):
     reward = {"kind": "http", "model": "rm", "endpoint": "https://rm.test/v1", field: value}
@@ -509,3 +541,42 @@ def test_filter_rejects_a_bad_synthesized_line_by_number(tmp_path, capsys, damag
     synth.write_text("", encoding="utf-8")
     assert main(["filter", "--config", str(config)]) == 0
     assert (tmp_path / "work" / "filtered_average.jsonl").read_text(encoding="utf-8") == ""
+
+
+def test_cache_file_that_is_not_sqlite_is_a_data_error(tmp_path, capsys):
+    config = make_config(tmp_path)
+    store = tmp_path / "work" / "cache" / "generation" / "calls.sqlite"
+    store.parent.mkdir(parents=True)
+    store.write_text("not a database", encoding="utf-8")
+    assert main(["induce", "--config", str(config)]) == 5
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "CacheError"
+    assert str(store) in err["message"]
+
+
+def test_commands_close_their_cache_connections(tmp_path):
+    config = make_config(tmp_path)
+    for command in ("induce", "synthesize", "filter", "export", "infer", "eval"):
+        assert main([command, "--config", str(config)]) == 0
+    cache = tmp_path / "work" / "cache"
+    assert {p.parent.name for p in cache.rglob("calls.sqlite")} == {
+        "generation", "embedding", "reward", "judge"
+    }
+    assert sorted(p.name for p in cache.rglob("*") if p.is_file()) == ["calls.sqlite"] * 4
+
+
+def test_each_seed_gold_block_is_rendered_once_per_command(tmp_path, monkeypatch):
+    config = make_config(tmp_path)
+    assert main(["induce", "--config", str(config)]) == 0
+    render = prompts.gold_output
+    for command in ("synthesize", "filter", "infer"):
+        rendered = Counter()
+
+        def counting(example, subtask):
+            rendered[example.instance.id, subtask] += 1
+            return render(example, subtask)
+
+        monkeypatch.setattr(prompts, "gold_output", counting)
+        assert main([command, "--config", str(config)]) == 0
+        assert set(rendered.values()) == {1}, command
+        assert {subtask for _, subtask in rendered} == {"QP", "UCoT"}

@@ -235,8 +235,11 @@ def test_id_mismatch_lists_missing_ids(tmp_path):
         {"id": "b", "question_parsing": ["c"], "cot_parsing": ["a step as text"]},
         {"id": "b", "question_parsing": "abc", "cot_parsing": []},
         {"id": "b", "question_parsing": ["c"], "cot_parsing": {"statement": "s"}},
+        {"id": "b", "question_parsing": ["c"],
+         "cot_parsing": [{"statement": "s", "evidence": "e", "verification": "maybe"}]},
     ],
-    ids=["line-not-an-object", "step-not-an-object", "qp-not-a-list", "cot-not-a-list"],
+    ids=["line-not-an-object", "step-not-an-object", "qp-not-a-list", "cot-not-a-list",
+         "verification-unrecognised"],
 )
 def test_malformed_record_is_an_eval_error_naming_file_and_line(tmp_path, bad):
     rows = [_row("a", ["c"], [("s", "e", True)])]
