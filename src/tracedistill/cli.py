@@ -17,17 +17,17 @@ subcommand on unchanged inputs reproduces it byte for byte. The on-disk
 call cache is the only state reused across runs, and every subcommand
 closes its cache connections before it returns; index.bin is written by
 synthesize and read by no stage. Concurrent invocations against one
-working directory are rejected via a lock file that records the owner's
-pid; a lock whose pid no longer exists is taken over. Failures print a
-machine-readable JSON error on stderr and exit nonzero.
+working directory are rejected: each holds an exclusive flock on
+<workdir>/.lock, which the kernel drops when its holder exits (POSIX only).
+Failures print a machine-readable JSON error on stderr and exit nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -84,44 +84,25 @@ def _sha256_file(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _owner_is_gone(lock):
-    """True when the lock file names a pid that no longer exists."""
-    try:
-        os.kill(int(lock.read_text(encoding="utf-8")), 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError):  # no file, unreadable text, or a pid we may not signal
-        return False
-    return False
-
-
 @contextmanager
 def workdir_lock(workdir):
-    """Hold ``<workdir>/.lock`` (it records our pid) for the block.
+    """Hold an exclusive ``flock`` on ``<workdir>/.lock`` for the block.
 
-    A lock left by a process that no longer exists is taken over; one whose
-    owner is alive, or whose content is not a pid, is a ``WorkdirLockedError``.
+    The kernel releases it when its holder exits, however it exits, so a
+    leftover file never blocks; a lock held by a live invocation is a
+    ``WorkdirLockedError``. The file is never unlinked: a second holder
+    could then lock a new inode while the first still holds the old one.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    lock = workdir / ".lock"
-    if _owner_is_gone(lock):
-        lock.unlink(missing_ok=True)
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise WorkdirLockedError(
-            f"workdir {workdir} is in use by another invocation; remove {lock} if stale"
-        ) from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode("utf-8"))
-        os.close(fd)
-        yield
-    finally:
+    with open(workdir / ".lock", "a") as lock:
         try:
-            lock.unlink()
-        except FileNotFoundError:
-            pass
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise WorkdirLockedError(
+                f"workdir {workdir} is in use by another invocation"
+            ) from None
+        yield
 
 
 @contextmanager

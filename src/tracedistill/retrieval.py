@@ -19,8 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import SeedExample
-
 INDEX_FORMAT = "seed-index-v1"
 UNIT_NORM_TOLERANCE = 1e-6
 
@@ -73,19 +71,9 @@ def build_index(examples, embed_fn, encoder="", tags=None):
     """Embed each example's question text into one unit-norm row."""
     if not examples:
         raise RetrievalError("cannot build an index from zero examples")
-    ids = []
-    rows = []
-    for example in examples:
-        instance = example.instance if isinstance(example, SeedExample) else example
-        try:
-            vec = embed_fn(instance.question)
-        except Exception as exc:
-            raise RetrievalError(f"embedding failed for id {instance.id!r}: {exc}") from exc
-        ids.append(instance.id)
-        rows.append(_normalize(vec))
     return SeedIndex(
-        ids=ids,
-        matrix=np.vstack(rows),
+        ids=[example.instance.id for example in examples],
+        matrix=np.vstack([_normalize(embed_fn(e.instance.question)) for e in examples]),
         encoder=encoder,
         tags=dict(tags or {}),
         embed_fn=embed_fn,

@@ -18,7 +18,7 @@ import logging
 from dataclasses import dataclass, field
 
 from . import prompts
-from .backends import ChatMessage, GenParams, fan_out
+from .backends import BackendError, ChatMessage, GenParams, fan_out
 from .corpus import (
     QuestionInstance,
     ReasoningTrace,
@@ -204,7 +204,7 @@ def synthesize_batch(pool, index, cards, backend, qp_instruction=None,
                 qp_instruction=qp_instruction, ucot_instruction=ucot_instruction,
                 k=k, params=params,
             ), None
-        except Exception as exc:
+        except BackendError as exc:
             log.warning("synthesis failed for %s: %s", instance.id, exc)
             return None, {"id": instance.id, "error": str(exc)}
 

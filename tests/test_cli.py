@@ -1,8 +1,13 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +23,7 @@ from conftest import (
 from tracedistill import backends as backends_module
 from tracedistill import prompts
 from tracedistill.backends import build_reward_payload
-from tracedistill.cli import build_parser, main
+from tracedistill.cli import WorkdirLockedError, build_parser, main, workdir_lock
 from tracedistill.corpus import instance_to_json, seed_to_json, trace_to_json
 from tracedistill.filtering import build_reward_prompts
 from tracedistill.retrieval import build_index, top_k
@@ -150,42 +155,109 @@ def test_missing_config_file(tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().err)
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+HOLDER = """
+import sys, time
+from tracedistill.cli import workdir_lock
+with workdir_lock(sys.argv[1]):
+    print("held", flush=True)
+    time.sleep(600)
+"""
+
+
+@contextmanager
+def lock_holder(workdir):
+    """A separate process that holds ``workdir``'s lock until it is killed."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    holder = subprocess.Popen(
+        [sys.executable, "-c", HOLDER, str(workdir)], stdout=subprocess.PIPE, text=True, env=env
+    )
+    try:
+        assert holder.stdout.readline() == "held\n"
+        yield holder
+    finally:
+        holder.kill()
+        holder.wait(timeout=60)
+        holder.stdout.close()
+
+
 def test_locked_workdir_rejected(tmp_path, capsys):
     config = make_config(tmp_path)
-    workdir = tmp_path / "work"
-    workdir.mkdir()
-    (workdir / ".lock").write_text(f"{os.getpid()}\n", encoding="utf-8")
-    assert main(["induce", "--config", str(config)]) == 4
+    with lock_holder(tmp_path / "work"):
+        assert main(["induce", "--config", str(config)]) == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "WorkdirLockedError"
 
 
-def test_lock_with_unreadable_content_is_kept(tmp_path, capsys):
-    config = make_config(tmp_path)
-    lock = tmp_path / "work" / ".lock"
-    lock.parent.mkdir()
-    lock.write_text("not a pid\n", encoding="utf-8")
-    assert main(["induce", "--config", str(config)]) == 4
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "WorkdirLockedError"
-    assert lock.read_text(encoding="utf-8") == "not a pid\n"
-
-
 def test_lock_of_an_exited_process_is_taken_over(tmp_path):
     config = make_config(tmp_path)
-    exited = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
-                            capture_output=True, text=True, check=True, timeout=60)
+    with lock_holder(tmp_path / "work") as holder:
+        holder.send_signal(signal.SIGKILL)
+        holder.wait(timeout=60)
+        assert main(["induce", "--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize(
+    "content", ["", "not a pid\n", "1\n", f"{os.getpid()}\n"],
+    ids=["empty", "not-a-pid", "live-pid", "own-pid"],
+)
+def test_leftover_lock_file_does_not_block(tmp_path, content):
+    config = make_config(tmp_path)
     lock = tmp_path / "work" / ".lock"
     lock.parent.mkdir()
-    lock.write_text(exited.stdout, encoding="utf-8")
+    lock.write_text(content, encoding="utf-8")
     assert main(["induce", "--config", str(config)]) == 0
-    assert not lock.exists()
 
 
 def test_lock_released_after_run(tmp_path):
     config = make_config(tmp_path)
     assert main(["induce", "--config", str(config)]) == 0
-    assert not (tmp_path / "work" / ".lock").exists()
     assert main(["induce", "--config", str(config)]) == 0
+
+
+def test_threads_holding_the_workdir_lock_never_overlap(tmp_path):
+    """Each round starts from a lock file naming an exited process's pid."""
+    exited = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                            capture_output=True, text=True, check=True, timeout=60)
+    lock = tmp_path / "work" / ".lock"
+    lock.parent.mkdir()
+    threads, rounds = 4, 50
+    barrier = threading.Barrier(threads)
+    guard = threading.Lock()
+    holding = peak = 0
+    entered = Counter()
+
+    def attempt(round_no):
+        nonlocal holding, peak
+        barrier.wait(timeout=60)
+        try:
+            with workdir_lock(tmp_path / "work"):
+                with guard:
+                    holding += 1
+                    peak = max(peak, holding)
+                    entered[round_no] += 1
+                time.sleep(0.001)
+                with guard:
+                    holding -= 1
+        except WorkdirLockedError:
+            pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_no in range(rounds):
+            lock.write_text(exited.stdout, encoding="utf-8")
+            pool = [threading.Thread(target=attempt, args=(round_no,)) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert peak == 1
+    assert set(entered) == set(range(rounds))
 
 
 def test_export_cv_lines_match_stats(tmp_path):
@@ -543,15 +615,43 @@ def test_filter_rejects_a_bad_synthesized_line_by_number(tmp_path, capsys, damag
     assert (tmp_path / "work" / "filtered_average.jsonl").read_text(encoding="utf-8") == ""
 
 
-def test_cache_file_that_is_not_sqlite_is_a_data_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, role",
+    [
+        ("induce", "generation"),
+        ("synthesize", "generation"),
+        ("synthesize", "embedding"),
+        ("filter", "reward"),
+        ("infer", "embedding"),
+    ],
+)
+def test_cache_file_that_is_not_sqlite_is_a_data_error(tmp_path, capsys, command, role):
     config = make_config(tmp_path)
-    store = tmp_path / "work" / "cache" / "generation" / "calls.sqlite"
-    store.parent.mkdir(parents=True)
+    for earlier in {"synthesize": ["induce"], "filter": ["induce", "synthesize"]}.get(command, []):
+        assert main([earlier, "--config", str(config)]) == 0
+    store = tmp_path / "work" / "cache" / role / "calls.sqlite"
+    store.parent.mkdir(parents=True, exist_ok=True)
     store.write_text("not a database", encoding="utf-8")
-    assert main(["induce", "--config", str(config)]) == 5
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 5
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "CacheError"
     assert str(store) in err["message"]
+
+
+def test_embedding_backend_failure_exits_6(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        backends_module, "RequestsTransport",
+        lambda *args: lambda url, payload: {"data": [{"embedding": None}]},
+    )
+    config = make_config(
+        tmp_path,
+        backend_overrides={
+            "embedding": {"kind": "http", "model": "remote", "endpoint": "https://embed.test/v1"}
+        },
+    )
+    assert main(["infer", "--config", str(config)]) == 6
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "BackendError"
 
 
 def test_commands_close_their_cache_connections(tmp_path):

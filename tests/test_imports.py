@@ -1,4 +1,10 @@
-"""Package imports sit at module level, never inside a function body."""
+"""Static checks over the package source.
+
+Imports sit at module level, never inside a function body, and only
+``cli.main`` catches ``Exception``: everywhere else a handler names the
+errors it expects, so an unexpected one reaches ``main`` with its own type
+and exit code.
+"""
 
 import ast
 from pathlib import Path
@@ -30,4 +36,46 @@ def test_no_function_local_imports_in_package():
         lines = function_local_imports(path.read_text(encoding="utf-8"))
         if lines:
             offenders[path.name] = lines
+    assert offenders == {}
+
+
+def broad_handlers(source):
+    """(enclosing function, line) of each bare ``except:`` or ``except Exception``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(
+                    t is None or (isinstance(t, ast.Name) and t.id in {"Exception", "BaseException"})
+                    for t in caught
+                ):
+                    found.append((function, child.lineno))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_detector_finds_broad_handlers_only():
+    source = (
+        "try:\n    pass\nexcept:\n    pass\n"
+        "def f():\n"
+        "    try:\n        pass\n    except ValueError:\n        pass\n"
+        "    try:\n        pass\n    except (KeyError, Exception):\n        pass\n"
+    )
+    assert broad_handlers(source) == [(None, 3), ("f", 12)]
+
+
+def test_only_cli_main_catches_exception():
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = broad_handlers(path.read_text(encoding="utf-8"))
+        found = [h for h in found if (path.name, h[0]) != ("cli.py", "main")]
+        if found:
+            offenders[path.name] = found
     assert offenders == {}

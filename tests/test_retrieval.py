@@ -58,15 +58,6 @@ def test_build_index_deterministic_rebuild(small_index):
     assert index.ids == rebuilt.ids
 
 
-def test_build_index_reports_failing_id():
-    def broken(text):
-        raise RuntimeError("encoder down")
-
-    with pytest.raises(RetrievalError) as err:
-        build_index([make_example("bad-1")], broken)
-    assert "bad-1" in str(err.value)
-
-
 def test_self_retrieval_rank_one(small_index):
     examples, index = small_index
     hits = top_k(index, examples[1].instance.question, 3)
