@@ -532,7 +532,10 @@ class CachingBackend(Backend):
     and shared by every thread under ``_lock``; ``close()`` releases it, and
     the next access opens it again. A file there that SQLite cannot use is a
     ``CacheError``. With no ``cache_dir`` nothing is cached, and every call
-    reaches the wrapped backend (still retried and bounded).
+    reaches the wrapped backend (still retried and bounded). Each call that
+    reaches it first calls ``reaching_endpoint``, so a ``fan_out`` running
+    on the thread grows to its full width only once there is an endpoint
+    to wait on.
     """
 
     def __init__(self, inner, cache_dir=None, max_inflight=4, retry_budget=2):
@@ -600,6 +603,7 @@ class CachingBackend(Backend):
             with self._lock:
                 self.cache_hits += 1
             return cached
+        reaching_endpoint()
         with self._sem:
             last = None
             value = _MISS
@@ -646,13 +650,103 @@ class CachingBackend(Backend):
         return self._call("reward", payload, lambda: self.inner.reward(context, response))
 
 
-def fan_out(backend, fn, items):
-    """Map ``fn`` over ``items`` in order, ``backend.max_inflight`` at a time.
+class _Drain:
+    """One fan-out's shared cursor, and the tasks that take items from it.
 
-    A backend without ``max_inflight`` (an uncached fake) runs them serially.
+    Each task runs the next unclaimed item until none is left or ``stop``
+    is set, and records in ``at`` the index it is running, so a task that
+    raised names its item. ``grow`` is the hook the tasks leave on their
+    threads. These are methods, not closures that refer to one another, so
+    no reference cycle keeps the items alive once the fan-out returns.
     """
-    with ThreadPoolExecutor(getattr(backend, "max_inflight", 1)) as pool:
-        return list(pool.map(fn, items))
+
+    def __init__(self, fn, items, pool, width):
+        self.fn = fn
+        self.items = items
+        self.pool = pool
+        self.width = width
+        self.results = [None] * len(items)
+        self.at = []
+        self.futures = []
+        self.next = 0
+        self.stop = False
+        self.grown = False
+        self.lock = threading.Lock()
+
+    def submit(self):
+        self.at.append(None)
+        self.futures.append(self.pool.submit(self.run, len(self.at) - 1))
+
+    def grow(self):
+        # only the first task runs until this flips, so it needs no lock
+        if not self.grown:
+            self.grown = True
+            for _ in range(min(self.width, len(self.items)) - 1):
+                self.submit()
+
+    def run(self, task):
+        _fanning.grow = self.grow
+        try:
+            while True:
+                with self.lock:
+                    if self.stop or self.next == len(self.items):
+                        return
+                    index = self.at[task] = self.next
+                    self.next += 1
+                done = False
+                try:
+                    self.results[index] = self.fn(self.items[index])
+                    done = True
+                finally:
+                    if not done:
+                        self.stop = True
+        finally:
+            _fanning.grow = None
+
+
+# holds the running fan-out task's ``_Drain.grow`` on each worker thread
+_fanning = threading.local()
+
+
+def reaching_endpoint():
+    """Tell the fan-out running on this thread, if any, that a call waits on an endpoint."""
+    grow = getattr(_fanning, "grow", None)
+    if grow is not None:
+        grow()
+
+
+def fan_out(backend, fn, items):
+    """Map ``fn`` over ``items`` in order, at most ``backend.max_inflight`` at a time.
+
+    Items run on one worker thread while the cache answers every call they
+    make, since more threads would only contend for the interpreter lock.
+    The first call that reaches a wrapped backend (``reaching_endpoint``)
+    starts the other ``max_inflight - 1`` workers, which then overlap
+    their endpoint waits. Workers take items in order from one cursor and
+    the caller only waits. Results come back in item order. Once an item
+    raises no new item starts, and the error of the first item in item
+    order that raised is raised. A fan-out nested inside an item grows
+    only its own workers. A backend without ``max_inflight`` (an uncached
+    fake) runs the items one at a time.
+    """
+    width = getattr(backend, "max_inflight", 1)
+    with ThreadPoolExecutor(width) as pool:
+        drain = _Drain(fn, list(items), pool, width)
+        drain.submit()
+        try:
+            # the first task appends the others before it ends, so this loop sees them
+            for future in drain.futures:
+                future.exception()
+        finally:  # a wait cut short, by an interrupt say, starts no new item
+            drain.stop = True
+    failed = [
+        (drain.at[task], future.exception())
+        for task, future in enumerate(drain.futures)
+        if future.exception() is not None
+    ]
+    if failed:
+        raise min(failed, key=lambda pair: pair[0])[1]
+    return drain.results
 
 
 def make_backend(profile, cache_dir):

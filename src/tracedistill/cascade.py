@@ -18,16 +18,20 @@ reprompts. A retry that parses replaces the first answer, even when it is
 an empty array; the first answer stands only when the retry does not
 parse. Stage failures are recorded and flagged rather than fatal;
 downstream stages continue on best-effort inputs so a batch always yields
-aligned, schema-valid predictions.
+aligned, schema-valid predictions. A call that fails at the backend
+(``BackendError``) ends only its own instance, which is emitted empty and
+flagged ``backend_failed``; a batch in which every instance failed so
+raises ``BackendError``.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 
 from . import prompts
-from .backends import ChatMessage, GenParams, fan_out
+from .backends import BackendError, ChatMessage, GenParams, fan_out
 from .corpus import SchemaError, canonicalize_verification, save_jsonl, verification_str
 from .prompts import demo_pairs_full
 from .retrieval import top_k
@@ -37,6 +41,10 @@ PARSER = "parser"
 DECOMPOSER = "decomposer"
 VERIFIER = "verifier"
 AGENTS = (PARSER, DECOMPOSER, VERIFIER)
+STAGES = ("question_parsing", "cot_parsing", "evidence", "verify")
+BACKEND_FAILED = "backend_failed"
+
+log = logging.getLogger(__name__)
 
 REPROMPT_SUFFIX = (
     "Your previous answer could not be used: {problem}. "
@@ -65,6 +73,7 @@ class CascadeOutput:
     verdicts: list[bool]
     stages: dict[str, StageResult]
     flags: list[str] = field(default_factory=list)
+    error: str = ""
 
 
 def run_stage(subtask, instruction, query, demos, backend, params, problem=None):
@@ -198,6 +207,24 @@ class CascadePipeline:
         self.params = params or GenParams()
 
     def run(self, instance):
+        try:
+            return self._run(instance)
+        except BackendError as exc:
+            log.warning("cascade failed for %s: %s", instance.id, exc)
+            now = time.monotonic()
+            failed = {name: StageResult(failed=True, started=now, finished=now) for name in STAGES}
+            return CascadeOutput(
+                instance_id=instance.id,
+                qp=[],
+                statements=[],
+                evidence=[],
+                verdicts=[],
+                stages=failed,
+                flags=[BACKEND_FAILED],
+                error=str(exc),
+            )
+
+    def _run(self, instance):
         hits = top_k(self.index, instance.question, self.k, exclude={instance.id})
         demos = demo_pairs_full(hits, self.cards)
         flags = []
@@ -238,18 +265,17 @@ class CascadePipeline:
             statements=statements,
             evidence=evidence,
             verdicts=verdicts,
-            stages={
-                "question_parsing": qp_stage,
-                "cot_parsing": cp_stage,
-                "evidence": ev_stage,
-                "verify": vf_stage,
-            },
+            stages=dict(zip(STAGES, (qp_stage, cp_stage, ev_stage, vf_stage))),
             flags=flags,
         )
 
     def run_batch(self, instances):
         # every instance starts with the Parser; by default all agents share its backend
         outputs = fan_out(self.backends[PARSER], self.run, instances)
+        if outputs and all(BACKEND_FAILED in o.flags for o in outputs):
+            raise BackendError(
+                f"all {len(outputs)} instances failed at the backend; first: {outputs[0].error}"
+            )
         outputs.sort(key=lambda o: o.instance_id)
         return outputs
 

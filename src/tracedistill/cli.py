@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import __version__
 from .backends import CACHE_SCHEMA_VERSION, BackendError, CacheError, ConfigError
-from .cascade import CascadeError, CascadePipeline, write_predictions
+from .cascade import BACKEND_FAILED, CascadeError, CascadePipeline, write_predictions
 from .config import CONFIG_SCHEMA_VERSION, build_backends, load_config
 from .corpus import (
     SFT_HEADER,
@@ -142,8 +142,9 @@ def write_manifest(config, command, inputs, outputs):
     return path
 
 
-def write_run_stats(config, command, backends):
-    """Cache/call diagnostics; lives under logs/ and is not manifest-tracked."""
+def write_run_stats(config, command, backends, **counts):
+    """Cache/call diagnostics plus the command's own ``counts``; lives under
+    logs/ and is not manifest-tracked."""
     unique = {}
     for role, backend in backends.items():
         unique.setdefault(id(backend), (role, backend))
@@ -153,6 +154,7 @@ def write_run_stats(config, command, backends):
         "backend_calls": sum(s["cache_misses"] for s in per_role.values()),
         "cache_hits": sum(s["cache_hits"] for s in per_role.values()),
         "backends": per_role,
+        **counts,
     }
     path = config.workdir / "logs" / f"{command}_stats.json"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -350,7 +352,8 @@ def cmd_infer(config, args):
         timings_path = config.workdir / "logs" / "infer_timings.json"
         timings_path.parent.mkdir(parents=True, exist_ok=True)
         timings_path.write_text(json.dumps(timings, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        write_run_stats(config, "infer", backends)
+        backend_failed = sum(1 for o in outputs if BACKEND_FAILED in o.flags)
+        write_run_stats(config, "infer", backends, backend_failed=backend_failed)
         write_manifest(
             config,
             "infer",
@@ -358,7 +361,10 @@ def cmd_infer(config, args):
             [out_path] if out_path.is_relative_to(config.workdir) else [],
         )
         flagged = sum(1 for o in outputs if o.flags)
-        print(f"ran cascade on {len(outputs)} instances ({flagged} flagged) -> {out_path}")
+        print(
+            f"ran cascade on {len(outputs)} instances ({flagged} flagged, "
+            f"{backend_failed} failed at the backend) -> {out_path}"
+        )
         return 0
 
 

@@ -1,8 +1,12 @@
+import gc
 import json
+import random
 import shutil
 import sqlite3
 import sys
 import threading
+import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
@@ -24,6 +28,7 @@ from tracedistill.backends import (
     RequestsTransport,
     TransientBackendError,
     build_reward_payload,
+    fan_out,
 )
 from tracedistill.synthesis import parse_ucot, ParseFailure
 
@@ -455,3 +460,157 @@ def test_mock_judge_line_yields_single_verdict():
     backend = MockBackend()
     raw = backend.generate(_user(f"judging...\n\n{prompts.JUDGE_ANSWER_LINE}"), PARAMS)
     assert raw in ("A", "B", "tie")
+
+
+def _ask(backend, item):
+    return backend.generate(_user(f"item {item}\n\nQuestion Parsing:"), PARAMS)
+
+
+def test_fan_out_keeps_item_order_under_shuffled_latency():
+    backend = CachingBackend(MockBackend(), max_inflight=4)
+    rng = random.Random(7)
+    delays = [rng.uniform(0, 0.01) for _ in range(24)]
+
+    def job(item):
+        _ask(backend, item)
+        time.sleep(delays[item])
+        return item * 10
+
+    assert fan_out(backend, job, range(24)) == [item * 10 for item in range(24)]
+
+
+def test_fan_out_raises_the_first_failing_item_in_item_order():
+    backend = CachingBackend(MockBackend(), max_inflight=4)
+    started = set()
+
+    def job(item):
+        _ask(backend, item)
+        started.add(item)
+        if item == 1:
+            time.sleep(0.1)
+            raise KeyError(1)
+        if item == 3:
+            raise KeyError(3)
+        return item
+
+    with pytest.raises(KeyError) as caught:
+        fan_out(backend, job, range(6))
+    assert caught.value.args == (1,)
+    assert {1, 3} <= started
+
+
+def test_fan_out_starts_no_item_after_one_raised():
+    backend = CachingBackend(MockBackend(), max_inflight=4)
+    started = []
+
+    def job(item):
+        _ask(backend, item)
+        started.append(item)
+        if item == 0:
+            raise ValueError("first item fails")
+        time.sleep(0.2)
+        return item
+
+    with pytest.raises(ValueError):
+        fan_out(backend, job, range(20))
+    # items 1-3 may have started beside item 0, none after it raised
+    assert set(started) <= {0, 1, 2, 3}
+
+
+def test_fan_out_over_cache_hits_uses_one_worker_thread(tmp_path):
+    backend = CachingBackend(MockBackend(), cache_dir=tmp_path, max_inflight=4)
+    for item in range(16):
+        _ask(backend, item)
+    threads = set()
+
+    def job(item):
+        threads.add(threading.get_ident())
+        return _ask(backend, item)
+
+    fan_out(backend, job, range(16))
+    assert backend.cache_hits == 16
+    assert len(threads) == 1
+    assert threading.get_ident() not in threads
+
+
+def test_fan_out_that_misses_the_cache_reaches_max_inflight(tmp_path):
+    inner = MockBackend(latency=0.02)
+    backend = CachingBackend(inner, cache_dir=tmp_path, max_inflight=4)
+    threads = set()
+
+    def job(item):
+        threads.add(threading.get_ident())
+        return _ask(backend, item)
+
+    fan_out(backend, job, range(16))
+    assert inner.calls["generate"] == 16
+    assert inner.max_inflight_observed == 4
+    assert len(threads) == 4
+
+
+def test_cold_fan_out_nested_in_a_warm_one_grows_only_its_own_workers(tmp_path):
+    warm = CachingBackend(MockBackend(), cache_dir=tmp_path, max_inflight=4)
+    for item in range(4):
+        _ask(warm, item)
+    cold_inner = MockBackend(latency=0.02)
+    cold = CachingBackend(cold_inner, max_inflight=4)
+    outer_threads = set()
+
+    def inner_job(item):
+        return _ask(cold, item)
+
+    def outer_job(item):
+        outer_threads.add(threading.get_ident())
+        _ask(warm, item)
+        return fan_out(cold, inner_job, range(item * 4, item * 4 + 4))
+
+    fan_out(warm, outer_job, range(4))
+    assert warm.cache_hits == 4
+    assert cold_inner.max_inflight_observed == 4
+    assert len(outer_threads) == 1
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_fan_out_keeps_no_item_alive_once_it_returns(tmp_path, cached):
+    class Item:
+        def __init__(self, n):
+            self.n = n
+
+    backend = CachingBackend(MockBackend(), cache_dir=tmp_path if cached else None)
+    if cached:
+        for n in range(8):
+            _ask(backend, n)
+    items = [Item(n) for n in range(8)]
+    refs = [weakref.ref(item) for item in items]
+    gc.disable()
+    try:
+        assert fan_out(backend, lambda item: len(_ask(backend, item.n)) > 0, items) == [True] * 8
+        del items
+        assert [ref() for ref in refs] == [None] * 8
+    finally:
+        gc.enable()
+
+
+def test_fan_out_cursor_hands_each_item_to_one_worker_under_fast_switching():
+    inner = MockBackend()
+    backend = CachingBackend(inner, max_inflight=8)
+    ran = []
+    got = []
+
+    def job(item):
+        _ask(backend, item)
+        ran.append(item)
+        return item * 3
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: got.extend(fan_out(backend, job, range(300))))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert got == [item * 3 for item in range(300)]
+    assert sorted(ran) == list(range(300))
+    assert inner.max_inflight_observed > 1

@@ -10,9 +10,10 @@ from conftest import (
     make_example,
 )
 from tracedistill import prompts
-from tracedistill.backends import CachingBackend, GenParams, MockBackend
+from tracedistill.backends import BackendError, CachingBackend, GenParams, MockBackend
 from tracedistill.cascade import (
     AGENTS,
+    STAGES,
     CascadeError,
     CascadePipeline,
     decompose_cot,
@@ -230,3 +231,38 @@ def test_hostile_nesting_is_flagged_not_fatal():
     for output in outputs:
         assert output.flags == ["parser_failed", "decomposer_failed", "no_statements"]
         assert len(output.stages["question_parsing"].raw) == 2
+
+
+class _FailingFor(MockBackend):
+    """Fails every generation whose prompt contains ``marker``, as a null completion does."""
+
+    def __init__(self, marker):
+        super().__init__()
+        self.marker = marker
+
+    def generate(self, messages, params):
+        if self.marker in messages[-1].content:
+            raise BackendError("malformed chat response: null content")
+        return super().generate(messages, params)
+
+
+def test_backend_failure_ends_only_its_own_instance():
+    pipeline, _ = _pipeline(backend=CachingBackend(_FailingFor("Puzzle pool-1:")))
+    outputs = pipeline.run_batch([make_example(f"pool-{i}").instance for i in range(3)])
+    by_id = {o.instance_id: o for o in outputs}
+    failed = by_id["pool-1"]
+    assert failed.flags == ["backend_failed"]
+    assert sorted(failed.stages) == sorted(STAGES)
+    assert all(stage.failed for stage in failed.stages.values())
+    assert output_to_prediction(failed) == {
+        "id": "pool-1", "question_parsing": [], "cot_parsing": []
+    }
+    for ident in ("pool-0", "pool-2"):
+        assert "backend_failed" not in by_id[ident].flags
+        assert by_id[ident].qp and by_id[ident].statements
+
+
+def test_batch_where_every_instance_fails_raises_backend_error():
+    pipeline, _ = _pipeline(backend=CachingBackend(_FailingFor("Puzzle pool-")))
+    with pytest.raises(BackendError, match="all 3 instances failed"):
+        pipeline.run_batch([make_example(f"pool-{i}").instance for i in range(3)])

@@ -487,6 +487,43 @@ def test_null_chat_completion_is_a_backend_failure_and_never_cached(
     assert None not in cached
 
 
+def test_null_completion_for_one_question_flags_only_that_question(
+    tmp_path, capsys, caplog, monkeypatch
+):
+    mock = backends_module.MockBackend(model="remote")
+
+    def transport(url, payload):
+        messages = [backends_module.ChatMessage(**m) for m in payload["messages"]]
+        content = None
+        if "Puzzle pool-03:" not in messages[-1].content:
+            params = backends_module.GenParams(payload["temperature"], payload["max_tokens"])
+            content = mock.generate(messages, params)
+        return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+    monkeypatch.setattr(backends_module, "RequestsTransport", lambda *args: transport)
+    config = make_config(
+        tmp_path,
+        backend_overrides={
+            "generation": {"kind": "http", "model": "remote", "endpoint": "https://gen.test/v1"}
+        },
+    )
+    with caplog.at_level("WARNING", logger="tracedistill.cascade"):
+        assert main(["infer", "--config", str(config)]) == 0
+    warnings = [r for r in caplog.records if r.name == "tracedistill.cascade"]
+    assert [r.getMessage().split(":")[0] for r in warnings] == [
+        "cascade failed for pool-03"
+    ]
+    assert "1 failed at the backend" in capsys.readouterr().out
+    predictions = {row["id"]: row for row in _read_jsonl(tmp_path / "work" / "predictions.jsonl")}
+    assert sorted(predictions) == [f"pool-{i:02d}" for i in range(6)]
+    assert predictions.pop("pool-03") == {
+        "id": "pool-03", "question_parsing": [], "cot_parsing": []
+    }
+    assert all(row["question_parsing"] and row["cot_parsing"] for row in predictions.values())
+    stats = json.loads((tmp_path / "work" / "logs" / "infer_stats.json").read_text())
+    assert stats["backend_failed"] == 1
+
+
 @pytest.mark.parametrize("role", ["verifier_verify", "verifer"])
 def test_unknown_backend_role_is_a_config_error(tmp_path, capsys, role):
     config = make_config(tmp_path, backend_overrides={role: _mock_profile("extra-mock")})

@@ -3,7 +3,7 @@
 Imports sit at module level, never inside a function body, and only
 ``cli.main`` catches ``Exception``: everywhere else a handler names the
 errors it expects, so an unexpected one reaches ``main`` with its own type
-and exit code.
+and exit code. Only ``backends.fan_out`` builds a thread pool or thread.
 """
 
 import ast
@@ -39,25 +39,31 @@ def test_no_function_local_imports_in_package():
     assert offenders == {}
 
 
-def broad_handlers(source):
-    """(enclosing function, line) of each bare ``except:`` or ``except Exception``."""
-    found = []
+def nodes_by_function(source):
+    """Yield (name of the enclosing function or None, node) for every node."""
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ExceptHandler):
-                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
-                if any(
-                    t is None or (isinstance(t, ast.Name) and t.id in {"Exception", "BaseException"})
-                    for t in caught
-                ):
-                    found.append((function, child.lineno))
+            yield function, child
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+                yield from visit(child, child.name)
             else:
-                visit(child, function)
+                yield from visit(child, function)
 
-    visit(ast.parse(source), None)
+    return visit(ast.parse(source), None)
+
+
+def broad_handlers(source):
+    """(enclosing function, line) of each bare ``except:`` or ``except Exception``."""
+    found = []
+    for function, node in nodes_by_function(source):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(
+                t is None or (isinstance(t, ast.Name) and t.id in {"Exception", "BaseException"})
+                for t in caught
+            ):
+                found.append((function, node.lineno))
     return found
 
 
@@ -76,6 +82,43 @@ def test_only_cli_main_catches_exception():
     for path in sorted(PACKAGE.glob("*.py")):
         found = broad_handlers(path.read_text(encoding="utf-8"))
         found = [h for h in found if (path.name, h[0]) != ("cli.py", "main")]
+        if found:
+            offenders[path.name] = found
+    assert offenders == {}
+
+
+def thread_constructions(source):
+    """(enclosing function, line) of each ``ThreadPoolExecutor(...)`` or ``Thread(...)`` call."""
+    found = []
+    for function, node in nodes_by_function(source):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in {"ThreadPoolExecutor", "Thread"}:
+                found.append((function, node.lineno))
+    return found
+
+
+def test_detector_finds_thread_constructions():
+    source = (
+        "import threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "def f():\n"
+        "    threading.Thread(target=f).start()\n"
+        "    with ThreadPoolExecutor(2) as pool:\n"
+        "        pool.submit(f)\n"
+        "    threading.Lock()\n"
+        "x = concurrent.futures.ThreadPoolExecutor()\n"
+    )
+    assert thread_constructions(source) == [("f", 4), ("f", 5), (None, 8)]
+
+
+def test_only_fan_out_builds_threads():
+    """``max_inflight`` stays the one concurrency setting: every worker comes from ``fan_out``."""
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = thread_constructions(path.read_text(encoding="utf-8"))
+        found = [h for h in found if (path.name, h[0]) != ("backends.py", "fan_out")]
         if found:
             offenders[path.name] = found
     assert offenders == {}
