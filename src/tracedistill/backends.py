@@ -535,7 +535,9 @@ class CachingBackend(Backend):
     reaches the wrapped backend (still retried and bounded). Each call that
     reaches it first calls ``reaching_endpoint``, so a ``fan_out`` running
     on the thread grows to its full width only once there is an endpoint
-    to wait on.
+    to wait on. That width is twice ``max_inflight``; the semaphore alone
+    caps the calls in flight, and ``peak_inflight`` records the most that
+    held it at once.
     """
 
     def __init__(self, inner, cache_dir=None, max_inflight=4, retry_budget=2):
@@ -547,6 +549,8 @@ class CachingBackend(Backend):
         self._sem = threading.BoundedSemaphore(max_inflight)
         self._lock = threading.Lock()
         self._db = None
+        self._inflight = 0
+        self.peak_inflight = 0
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -555,6 +559,7 @@ class CachingBackend(Backend):
             "model": self.model,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
+            "peak_inflight": self.peak_inflight,
             "inner_calls": dict(getattr(self.inner, "calls", {})),
         }
 
@@ -596,6 +601,19 @@ class CachingBackend(Backend):
         text = json.dumps({"result": value}, ensure_ascii=False)
         self._execute("INSERT OR REPLACE INTO calls (key, result) VALUES (?, ?)", (key, text))
 
+    @contextmanager
+    def _slot(self):
+        """Hold one of the ``max_inflight`` slots, counting how many are held at once."""
+        with self._sem:
+            with self._lock:
+                self._inflight += 1
+                self.peak_inflight = max(self.peak_inflight, self._inflight)
+            try:
+                yield
+            finally:
+                with self._lock:
+                    self._inflight -= 1
+
     def _call(self, op, payload, compute):
         key = None if self.cache_dir is None else self._key(op, payload)
         cached = _MISS if key is None else self._load(key)
@@ -604,7 +622,7 @@ class CachingBackend(Backend):
                 self.cache_hits += 1
             return cached
         reaching_endpoint()
-        with self._sem:
+        with self._slot():
             last = None
             value = _MISS
             for attempt in range(self.retry_budget + 1):
@@ -716,20 +734,23 @@ def reaching_endpoint():
 
 
 def fan_out(backend, fn, items):
-    """Map ``fn`` over ``items`` in order, at most ``backend.max_inflight`` at a time.
+    """Map ``fn`` over ``items`` in order on up to ``2 * backend.max_inflight`` workers.
 
     Items run on one worker thread while the cache answers every call they
     make, since more threads would only contend for the interpreter lock.
     The first call that reaches a wrapped backend (``reaching_endpoint``)
-    starts the other ``max_inflight - 1`` workers, which then overlap
-    their endpoint waits. Workers take items in order from one cursor and
-    the caller only waits. Results come back in item order. Once an item
-    raises no new item starts, and the error of the first item in item
-    order that raised is raised. A fan-out nested inside an item grows
-    only its own workers. A backend without ``max_inflight`` (an uncached
-    fake) runs the items one at a time.
+    starts the other workers, up to twice ``max_inflight``: each worker
+    spends part of every item away from the endpoint (rendering, parsing,
+    the cache store, another role's call), so a second worker per slot has
+    a request ready whenever a slot frees. The backend's semaphore still
+    caps the calls in flight at ``max_inflight``. Workers take items in
+    order from one cursor and the caller only waits. Results come back in
+    item order. Once an item raises no new item starts, and the error of
+    the first item in item order that raised is raised. A fan-out nested
+    inside an item grows only its own workers. A backend without
+    ``max_inflight`` (an uncached fake) runs the items one at a time.
     """
-    width = getattr(backend, "max_inflight", 1)
+    width = 2 * backend.max_inflight if hasattr(backend, "max_inflight") else 1
     with ThreadPoolExecutor(width) as pool:
         drain = _Drain(fn, list(items), pool, width)
         drain.submit()

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .backends import fan_out
+
 INDEX_FORMAT = "seed-index-v1"
 UNIT_NORM_TOLERANCE = 1e-6
 
@@ -68,12 +70,18 @@ def _normalize(vec):
 
 
 def build_index(examples, embed_fn, encoder="", tags=None):
-    """Embed each example's question text into one unit-norm row."""
+    """Embed each example's question text into one unit-norm row, in example order.
+
+    The questions go through ``fan_out`` on the backend that ``embed_fn`` is
+    bound to, so a cached backend's misses overlap up to its ``max_inflight``.
+    """
     if not examples:
         raise RetrievalError("cannot build an index from zero examples")
+    questions = [example.instance.question for example in examples]
+    vectors = fan_out(getattr(embed_fn, "__self__", None), embed_fn, questions)
     return SeedIndex(
         ids=[example.instance.id for example in examples],
-        matrix=np.vstack([_normalize(embed_fn(e.instance.question)) for e in examples]),
+        matrix=np.vstack([_normalize(vec) for vec in vectors]),
         encoder=encoder,
         tags=dict(tags or {}),
         embed_fn=embed_fn,

@@ -513,8 +513,8 @@ def test_fan_out_starts_no_item_after_one_raised():
 
     with pytest.raises(ValueError):
         fan_out(backend, job, range(20))
-    # items 1-3 may have started beside item 0, none after it raised
-    assert set(started) <= {0, 1, 2, 3}
+    # items 1-7 may have started beside item 0 (2 x max_inflight workers), none after it raised
+    assert set(started) <= set(range(8))
 
 
 def test_fan_out_over_cache_hits_uses_one_worker_thread(tmp_path):
@@ -545,7 +545,44 @@ def test_fan_out_that_misses_the_cache_reaches_max_inflight(tmp_path):
     fan_out(backend, job, range(16))
     assert inner.calls["generate"] == 16
     assert inner.max_inflight_observed == 4
-    assert len(threads) == 4
+    assert len(threads) == 8
+
+
+def test_cold_fan_out_runs_twice_max_inflight_workers_under_fast_switching():
+    inner = MockBackend(latency=0.005)
+    backend = CachingBackend(inner, max_inflight=4)
+    threads = set()
+    got = []
+
+    def job(item):
+        threads.add(threading.get_ident())
+        _ask(backend, item)
+        return item
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: got.extend(fan_out(backend, job, range(64))))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert got == list(range(64))
+    assert len(threads) == 8
+    assert inner.max_inflight_observed <= 4
+    assert backend.peak_inflight <= 4
+
+
+def test_peak_inflight_counts_calls_inside_the_semaphore(tmp_path):
+    def cold_pass(backend):
+        fan_out(backend, lambda item: _ask(backend, item), range(16))
+        return backend.stats()
+
+    cold = cold_pass(CachingBackend(MockBackend(latency=0.02), cache_dir=tmp_path, max_inflight=4))
+    assert (cold["cache_misses"], cold["peak_inflight"]) == (16, 4)
+    warm = cold_pass(CachingBackend(MockBackend(latency=0.02), cache_dir=tmp_path, max_inflight=4))
+    assert (warm["cache_hits"], warm["peak_inflight"]) == (16, 0)
 
 
 def test_cold_fan_out_nested_in_a_warm_one_grows_only_its_own_workers(tmp_path):

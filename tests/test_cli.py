@@ -112,6 +112,26 @@ def test_full_pipeline_exit_codes_and_artifacts(tmp_path):
         assert (workdir / "manifests" / f"{command}.json").exists()
 
 
+def test_max_inflight_changes_no_manifest_input_or_output(tmp_path):
+    commands = ("induce", "synthesize", "filter", "export", "infer", "eval")
+    runs = {}
+    for width in (1, 4):
+        config = make_config(tmp_path / f"inflight-{width}")
+        settings = json.loads(config.read_text(encoding="utf-8"))
+        for profile in settings["backends"].values():
+            profile["max_inflight"] = width
+        config.write_text(json.dumps(settings), encoding="utf-8")
+        runs[width] = {}
+        for command in commands:
+            assert main([command, "--config", str(config)]) == 0, command
+            path = config.parent / "work" / "manifests" / f"{command}.json"
+            runs[width][command] = json.loads(path.read_text(encoding="utf-8"))
+    for command in commands:
+        one, four = runs[1][command], runs[4][command]
+        assert one["config_hash"] != four["config_hash"]
+        assert (one["inputs"], one["outputs"]) == (four["inputs"], four["outputs"]), command
+
+
 def test_stats_reports_counts(tmp_path, capsys):
     config = make_config(tmp_path)
     data = tmp_path / "two_traces.jsonl"

@@ -3,7 +3,8 @@
 Imports sit at module level, never inside a function body, and only
 ``cli.main`` catches ``Exception``: everywhere else a handler names the
 errors it expects, so an unexpected one reaches ``main`` with its own type
-and exit code. Only ``backends.fan_out`` builds a thread pool or thread.
+and exit code. Only ``backends.fan_out`` builds a thread pool or thread,
+and only ``CachingBackend.__init__`` builds a semaphore.
 """
 
 import ast
@@ -40,17 +41,21 @@ def test_no_function_local_imports_in_package():
 
 
 def nodes_by_function(source):
-    """Yield (name of the enclosing function or None, node) for every node."""
+    """Yield (dotted name of the enclosing function or None, node) for every node.
 
-    def visit(node, function):
+    The name runs through every enclosing class and function, so a method
+    is ``Class.method``.
+    """
+
+    def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            yield function, child
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from visit(child, child.name)
+            yield ".".join(scope) or None, child
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, scope + (child.name,))
             else:
-                yield from visit(child, function)
+                yield from visit(child, scope)
 
-    return visit(ast.parse(source), None)
+    return visit(ast.parse(source), ())
 
 
 def broad_handlers(source):
@@ -87,16 +92,31 @@ def test_only_cli_main_catches_exception():
     assert offenders == {}
 
 
-def thread_constructions(source):
-    """(enclosing function, line) of each ``ThreadPoolExecutor(...)`` or ``Thread(...)`` call."""
+THREADS = {"ThreadPoolExecutor", "Thread"}
+SEMAPHORES = {"Semaphore", "BoundedSemaphore"}
+
+
+def constructions(source, names):
+    """(enclosing function, line) of each call to one of ``names``, bare or as an attribute."""
     found = []
     for function, node in nodes_by_function(source):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in {"ThreadPoolExecutor", "Thread"}:
+            if name in names:
                 found.append((function, node.lineno))
     return found
+
+
+def constructions_outside(names, allowed):
+    """File name -> constructions of ``names`` in the package, except in the ``allowed`` function."""
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = constructions(path.read_text(encoding="utf-8"), names)
+        found = [h for h in found if (path.name, h[0]) != allowed]
+        if found:
+            offenders[path.name] = found
+    return offenders
 
 
 def test_detector_finds_thread_constructions():
@@ -110,15 +130,34 @@ def test_detector_finds_thread_constructions():
         "    threading.Lock()\n"
         "x = concurrent.futures.ThreadPoolExecutor()\n"
     )
-    assert thread_constructions(source) == [("f", 4), ("f", 5), (None, 8)]
+    assert constructions(source, THREADS) == [("f", 4), ("f", 5), (None, 8)]
 
 
 def test_only_fan_out_builds_threads():
     """``max_inflight`` stays the one concurrency setting: every worker comes from ``fan_out``."""
-    offenders = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        found = thread_constructions(path.read_text(encoding="utf-8"))
-        found = [h for h in found if (path.name, h[0]) != ("backends.py", "fan_out")]
-        if found:
-            offenders[path.name] = found
-    assert offenders == {}
+    assert constructions_outside(THREADS, ("backends.py", "fan_out")) == {}
+
+
+def test_detector_finds_semaphore_constructions_by_method():
+    source = (
+        "import threading\n"
+        "class Backend:\n"
+        "    def __init__(self):\n"
+        "        self._sem = threading.BoundedSemaphore(4)\n"
+        "    def call(self):\n"
+        "        with threading.Semaphore(2):\n"
+        "            pass\n"
+        "def __init__():\n"
+        "    Semaphore(1)\n"
+        "threading.Lock()\n"
+    )
+    assert constructions(source, SEMAPHORES) == [
+        ("Backend.__init__", 4),
+        ("Backend.call", 6),
+        ("__init__", 9),
+    ]
+
+
+def test_only_caching_backend_builds_semaphores():
+    """``max_inflight`` stays the one in-flight cap: the only semaphore is ``CachingBackend``'s."""
+    assert constructions_outside(SEMAPHORES, ("backends.py", "CachingBackend.__init__")) == {}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_example
-from tracedistill.backends import MockBackend
+from tracedistill.backends import CachingBackend, MockBackend
 from tracedistill.retrieval import (
     RetrievalError,
     SeedIndex,
@@ -135,6 +135,17 @@ def test_top_k_requires_embed_fn():
     index = SeedIndex(ids=["a"], matrix=np.array([[1.0, 0.0]]))
     with pytest.raises(RetrievalError):
         top_k(index, "text", 1)
+
+
+def test_build_index_embeds_in_parallel_and_keeps_seed_order():
+    examples = [make_example(f"ex-{i}") for i in range(24)]
+    inner = MockBackend(embed_dim=16, latency=0.01)
+    index = build_index(examples, CachingBackend(inner, max_inflight=4).embed)
+    assert inner.max_inflight_observed == 4
+    # a bare backend has no max_inflight, so this build embeds one question at a time
+    serial = build_index(examples, MockBackend(embed_dim=16).embed)
+    assert index.ids == serial.ids
+    assert np.array_equal(index.matrix, serial.matrix)
 
 
 def test_build_index_empty_pool_rejected():
