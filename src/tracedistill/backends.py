@@ -508,6 +508,14 @@ class HttpBackend(Backend):
 _MISS = object()
 
 
+def _finite_number(value):
+    """Whether ``value`` is an int or a float, not a bool, that a float holds finitely."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _open_store(cache_dir):
     """A connection to ``cache_dir/calls.sqlite``, created if absent, that any thread may use."""
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -527,17 +535,22 @@ class CachingBackend(Backend):
     schema version, so identical calls return identical bytes without
     touching the wrapped backend. Results live only in the SQLite file
     ``cache_dir/calls.sqlite``, one ``(key, result)`` row per call, read on
-    every hit; a missing row, or one whose text is not a ``{"result": ...}``
-    object, is a miss. One connection is opened on the first cache access
-    and shared by every thread under ``_lock``; ``close()`` releases it, and
-    the next access opens it again. A file there that SQLite cannot use is a
-    ``CacheError``. With no ``cache_dir`` nothing is cached, and every call
-    reaches the wrapped backend (still retried and bounded). Each call that
-    reaches it first calls ``reaching_endpoint``, so a ``fan_out`` running
-    on the thread grows to its full width only once there is an endpoint
-    to wait on. That width is twice ``max_inflight``; the semaphore alone
-    caps the calls in flight, and ``peak_inflight`` records the most that
-    held it at once.
+    every hit. An embedding row holds the vector's little-endian float64
+    bytes; any other row holds ``{"result": ...}`` JSON text, and an
+    embedding row in that text form, as older code wrote it, is still a hit.
+    A missing row, or one holding a value the operation could not have
+    returned, is a miss and is overwritten: ``generate`` returns a string,
+    ``score`` and ``reward`` a finite int or float (not a bool), ``embed`` a
+    finite 1-D vector that is not empty or all zero. One connection is
+    opened on the first cache access and shared by every thread under
+    ``_lock``; ``close()`` releases it, and the next access opens it again.
+    A file there that SQLite cannot use is a ``CacheError``. With no
+    ``cache_dir`` nothing is cached, and every call reaches the wrapped
+    backend (still retried and bounded). Each call that reaches it first
+    calls ``reaching_endpoint``, so a ``fan_out`` running on the thread
+    grows to its full width only once there is an endpoint to wait on. That
+    width is twice ``max_inflight``; the semaphore alone caps the calls in
+    flight, and ``peak_inflight`` records the most that held it at once.
     """
 
     def __init__(self, inner, cache_dir=None, max_inflight=4, retry_budget=2):
@@ -589,17 +602,39 @@ class CachingBackend(Backend):
                 path = self.cache_dir / CACHE_FILE
                 raise CacheError(f"call cache {path} is unusable: {exc}") from None
 
-    def _load(self, key):
+    def _load(self, op, key):
+        """The result cached for ``op`` at ``key``, or ``_MISS`` if ``op`` could not return it."""
         row = self._execute("SELECT result FROM calls WHERE key = ?", (key,))
-        try:
-            entry = json.loads(row[0])
-        except (TypeError, ValueError):  # no row, a NULL or a torn text
-            return _MISS
-        return entry["result"] if isinstance(entry, dict) and "result" in entry else _MISS
+        raw = None if row is None else row[0]
+        if isinstance(raw, bytes):  # a vector's float64 bytes
+            if op != "embed" or len(raw) % 8:
+                return _MISS
+            vec = np.frombuffer(raw, "<f8").copy()
+        else:
+            try:
+                entry = json.loads(raw)
+            except (TypeError, ValueError):  # no row, a NULL or a torn text
+                return _MISS
+            if not isinstance(entry, dict) or "result" not in entry:
+                return _MISS
+            value = entry["result"]
+            if op == "generate":
+                return value if isinstance(value, str) else _MISS
+            if op != "embed":
+                return value if _finite_number(value) else _MISS
+            # a vector cached as JSON text, as rows were before they held bytes
+            if not isinstance(value, list) or not all(map(_finite_number, value)):
+                return _MISS
+            vec = np.asarray(value, dtype=float)
+        # every backend returns a unit vector, so an all-zero one is as corrupt as a NaN
+        return vec if vec.any() and np.isfinite(vec).all() else _MISS
 
     def _store(self, key, value):
-        text = json.dumps({"result": value}, ensure_ascii=False)
-        self._execute("INSERT OR REPLACE INTO calls (key, result) VALUES (?, ?)", (key, text))
+        if isinstance(value, np.ndarray):
+            row = value.astype("<f8").tobytes()
+        else:
+            row = json.dumps({"result": value}, ensure_ascii=False)
+        self._execute("INSERT OR REPLACE INTO calls (key, result) VALUES (?, ?)", (key, row))
 
     @contextmanager
     def _slot(self):
@@ -616,7 +651,7 @@ class CachingBackend(Backend):
 
     def _call(self, op, payload, compute):
         key = None if self.cache_dir is None else self._key(op, payload)
-        cached = _MISS if key is None else self._load(key)
+        cached = _MISS if key is None else self._load(op, key)
         if cached is not _MISS:
             with self._lock:
                 self.cache_hits += 1
@@ -660,8 +695,9 @@ class CachingBackend(Backend):
         )
 
     def embed(self, text):
-        values = self._call("embed", {"text": text}, lambda: self.inner.embed(text).tolist())
-        return np.asarray(values, dtype=float)
+        return self._call(
+            "embed", {"text": text}, lambda: np.asarray(self.inner.embed(text), dtype=float)
+        )
 
     def reward(self, context, response):
         payload = {"messages": messages_payload(context), "response": response}

@@ -168,7 +168,10 @@ def make_example(ident, n_steps=2, n_conditions=2, seed=0, with_cot=True):
 
 
 def cached_rows(root):
-    """The result text of every row of every call cache file under ``root``."""
+    """The result of every row of every call cache file under ``root``.
+
+    A row is ``{"result": ...}`` JSON text, or ``bytes`` for an embedding vector.
+    """
     rows = []
     for path in sorted(Path(root).rglob("calls.sqlite")):
         with closing(sqlite3.connect(path)) as db:

@@ -42,6 +42,11 @@ def _user(content):
 PARAMS = GenParams()
 
 
+def _set_every_row(cache_dir, row):
+    with closing(sqlite3.connect(cache_dir / "calls.sqlite")) as db, db:
+        return db.execute("UPDATE calls SET result = ?", (row,)).rowcount
+
+
 def test_mock_generate_deterministic():
     backend = MockBackend(seed=7)
     first = backend.generate(_user("Say something.\n\nQuestion Parsing:"), PARAMS)
@@ -208,8 +213,7 @@ def test_unusable_cache_file_is_a_miss(tmp_path, content):
     first = CachingBackend(MockBackend(), cache_dir=tmp_path)
     expected = first.generate(messages, PARAMS)
     first.close()
-    with closing(sqlite3.connect(tmp_path / "calls.sqlite")) as db, db:
-        assert db.execute("UPDATE calls SET result = ?", (content,)).rowcount == 1
+    assert _set_every_row(tmp_path, content) == 1
     inner = MockBackend()
     backend = CachingBackend(inner, cache_dir=tmp_path)
     assert backend.generate(messages, PARAMS) == expected
@@ -258,6 +262,113 @@ def test_cache_covers_all_four_operations(tmp_path):
     backend.embed("text")
     backend.reward(messages, "response")
     assert dict(inner.calls) == counts
+
+
+CALLS = {
+    "generate": lambda backend: backend.generate(_user("parse me\n\nQuestion Parsing:"), PARAMS),
+    "score": lambda backend: backend.score_completion(_user("prompt"), "completion"),
+    "embed": lambda backend: backend.embed("a question"),
+    "reward": lambda backend: backend.reward(_user("context"), "response"),
+}
+
+
+def test_cached_embedding_is_the_vector_bit_for_bit_as_float64_bytes(tmp_path):
+    expected = MockBackend(embed_dim=48).embed("a question")
+    first = CachingBackend(MockBackend(embed_dim=48), cache_dir=tmp_path)
+    miss = first.embed("a question")
+    first.close()
+    inner = MockBackend(embed_dim=48)
+    hit = CachingBackend(inner, cache_dir=tmp_path).embed("a question")
+    assert inner.calls["embed"] == 0
+    for vec in (miss, hit):
+        assert vec.dtype == np.float64
+        assert vec.tobytes() == expected.tobytes()
+    assert hit.flags.writeable
+    assert cached_rows(tmp_path) == [expected.astype("<f8").tobytes()]
+    assert len(cached_rows(tmp_path)[0]) == 8 * 48
+
+
+def test_embedding_row_in_the_old_json_text_form_is_a_hit(tmp_path):
+    expected = MockBackend().embed("a question")
+    first = CachingBackend(MockBackend(), cache_dir=tmp_path)
+    first.embed("a question")
+    first.close()
+    old = json.dumps({"result": expected.tolist()}, ensure_ascii=False)
+    assert _set_every_row(tmp_path, old) == 1
+    inner = MockBackend()
+    backend = CachingBackend(inner, cache_dir=tmp_path)
+    got = backend.embed("a question")
+    assert got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+    assert inner.calls["embed"] == 0
+    assert backend.cache_hits == 1
+    assert cached_rows(tmp_path) == [old]
+
+
+@pytest.mark.parametrize(
+    "op, row",
+    [
+        ("embed", b""),
+        ("embed", bytes(12)),
+        ("embed", np.array([0.6, float("nan"), 0.8]).tobytes()),
+        ("embed", np.array([float("inf")]).tobytes()),
+        ("embed", '{"result": "abc"}'),
+        ("embed", '{"result": []}'),
+        ("embed", bytes(16)),
+        ("embed", '{"result": [0, 0.0]}'),
+        ("embed", '{"result": [[0.6, 0.8]]}'),
+        ("embed", '{"result": [0.6, NaN]}'),
+        ("embed", '{"result": [1e999]}'),
+        ("embed", '{"result": [true, false]}'),
+        ("embed", '{"result": ["0.6", "0.8"]}'),
+        ("generate", '{"result": 5}'),
+        ("generate", '{"result": null}'),
+        ("generate", '{"result": ["Condition 1"]}'),
+        ("generate", bytes(8)),
+        ("reward", '{"result": NaN}'),
+        ("reward", '{"result": Infinity}'),
+        ("reward", '{"result": true}'),
+        ("reward", '{"result": "1.5"}'),
+        pytest.param("reward", '{"result": ' + "9" * 400 + "}", id="reward-int-past-float"),
+        ("reward", bytes(8)),
+        ("score", '{"result": null}'),
+        ("score", '{"result": -Infinity}'),
+    ],
+)
+def test_cached_value_the_operation_could_not_return_is_a_miss(tmp_path, op, row):
+    first = CachingBackend(MockBackend(), cache_dir=tmp_path)
+    expected = CALLS[op](first)
+    first.close()
+    written = cached_rows(tmp_path)
+    assert _set_every_row(tmp_path, row) == 1
+    inner = MockBackend()
+    backend = CachingBackend(inner, cache_dir=tmp_path)
+    assert np.array_equal(CALLS[op](backend), expected)
+    assert inner.calls[op] == 1
+    assert backend.cache_misses == 1
+    assert cached_rows(tmp_path) == written
+
+
+@pytest.mark.parametrize(
+    "op, row, value",
+    [
+        ("generate", '{"result": ""}', ""),
+        ("reward", '{"result": 3}', 3),
+        ("score", '{"result": -1.5}', -1.5),
+        ("embed", '{"result": [1, 0.5]}', [1.0, 0.5]),
+        ("embed", np.array([1.0, 0.5]).tobytes(), [1.0, 0.5]),
+    ],
+)
+def test_cached_value_the_operation_could_return_is_a_hit(tmp_path, op, row, value):
+    first = CachingBackend(MockBackend(), cache_dir=tmp_path)
+    CALLS[op](first)
+    first.close()
+    assert _set_every_row(tmp_path, row) == 1
+    inner = MockBackend()
+    got = CALLS[op](CachingBackend(inner, cache_dir=tmp_path))
+    assert type(got) is (np.ndarray if op == "embed" else type(value))
+    assert np.array_equal(got, value)
+    assert sum(inner.calls.values()) == 0
 
 
 def test_cache_key_distinguishes_models():

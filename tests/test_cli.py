@@ -1,14 +1,16 @@
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -502,9 +504,11 @@ def test_null_chat_completion_is_a_backend_failure_and_never_cached(
     assert first > 0
     assert main(["infer", "--config", str(config)]) == 6
     assert len(requests) > first
-    cached = [json.loads(text)["result"] for text in cached_rows(tmp_path / "work" / "cache")]
-    assert cached
-    assert None not in cached
+    cache = tmp_path / "work" / "cache"
+    assert cached_rows(cache / "generation") == []
+    embedded = cached_rows(cache / "embedding")
+    assert embedded
+    assert all(isinstance(row, bytes) for row in embedded)
 
 
 def test_null_completion_for_one_question_flags_only_that_question(
@@ -709,6 +713,64 @@ def test_embedding_backend_failure_exits_6(tmp_path, capsys, monkeypatch):
     )
     assert main(["infer", "--config", str(config)]) == 6
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "BackendError"
+
+
+@pytest.mark.parametrize(
+    "role, row, command, outputs",
+    [
+        ("generation", '{"result": 5}', "infer", ["predictions.jsonl"]),
+        (
+            "reward",
+            '{"result": NaN}',
+            "filter",
+            ["filtered_zero.jsonl", "filtered_few.jsonl", "filtered_average.jsonl"],
+        ),
+        ("embedding", '{"result": "abc"}', "infer", ["predictions.jsonl"]),
+    ],
+)
+def test_cached_value_the_call_could_not_return_is_made_again(
+    tmp_path, role, row, command, outputs
+):
+    config = make_config(tmp_path)
+    for step in ("induce", "synthesize", "filter", "infer"):
+        assert main([step, "--config", str(config)]) == 0
+    workdir = tmp_path / "work"
+    before = {name: (workdir / name).read_bytes() for name in outputs}
+    assert all(before.values())
+    with closing(sqlite3.connect(workdir / "cache" / role / "calls.sqlite")) as db, db:
+        assert db.execute("UPDATE calls SET result = ?", (row,)).rowcount > 0
+    assert main([command, "--config", str(config)]) == 0
+    assert {name: (workdir / name).read_bytes() for name in outputs} == before
+
+
+def test_rerun_over_json_embedding_rows_is_offline_and_byte_identical(tmp_path, monkeypatch):
+    config = make_config(tmp_path)
+    workdir = tmp_path / "work"
+    for command in ("induce", "synthesize", "filter", "infer"):
+        assert main([command, "--config", str(config)]) == 0
+    manifests = {p.name: p.read_bytes() for p in (workdir / "manifests").iterdir()}
+    with closing(sqlite3.connect(workdir / "cache" / "embedding" / "calls.sqlite")) as db, db:
+        rows = db.execute("SELECT key, result FROM calls").fetchall()
+        assert rows and all(isinstance(blob, bytes) for _, blob in rows)
+        db.executemany(
+            "UPDATE calls SET result = ? WHERE key = ?",
+            [
+                (json.dumps({"result": np.frombuffer(blob, "<f8").tolist()}), key)
+                for key, blob in rows
+            ],
+        )
+    calls = Counter()
+    track = backends_module.MockBackend._track
+
+    def counting(self, op):
+        calls[op] += 1
+        return track(self, op)
+
+    monkeypatch.setattr(backends_module.MockBackend, "_track", counting)
+    for command in ("synthesize", "filter", "infer"):
+        assert main([command, "--config", str(config)]) == 0
+    assert calls == Counter()
+    assert {p.name: p.read_bytes() for p in (workdir / "manifests").iterdir()} == manifests
 
 
 def test_commands_close_their_cache_connections(tmp_path):
