@@ -8,8 +8,10 @@ Three implementations share one call surface:
 * ``HttpBackend``: OpenAI-compatible chat-completions/embeddings client
   with bearer-token auth; tests inject a transport instead of the network.
 * ``CachingBackend``: wraps either of the above with an on-disk result
-  cache (one SQLite file per cache dir, no in-memory copy), a bounded
-  in-flight semaphore, and retries for transient failures.
+  cache (one SQLite file per cache dir, no in-memory copy; each call keyed
+  by a sha256 over its raw UTF-8 fields, each result kept as text or
+  float64 bytes, so a hit does no JSON work), a bounded in-flight
+  semaphore, and retries for transient failures.
 
 Mock response scheme (tests rely on this being stable):
 
@@ -38,6 +40,7 @@ import logging
 import math
 import os
 import sqlite3
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -52,7 +55,7 @@ from . import prompts
 
 log = logging.getLogger(__name__)
 
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 CACHE_FILE = "calls.sqlite"
 # WAL lets a reader in another process share the file; the small page cache
 # keeps each open connection's memory near the interpreter's own.
@@ -508,12 +511,9 @@ class HttpBackend(Backend):
 _MISS = object()
 
 
-def _finite_number(value):
-    """Whether ``value`` is an int or a float, not a bool, that a float holds finitely."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        return False
+def _message_fields(messages):
+    """Each message's role and content, in order: the key fields of a message list."""
+    return [part for m in messages for part in (m.role, m.content)]
 
 
 def _open_store(cache_dir):
@@ -531,26 +531,28 @@ def _open_store(cache_dir):
 class CachingBackend(Backend):
     """Disk-cached, retrying, concurrency-bounded wrapper around a backend.
 
-    Cache keys cover the model name, the operation, the full payload, and a
-    schema version, so identical calls return identical bytes without
-    touching the wrapped backend. Results live only in the SQLite file
-    ``cache_dir/calls.sqlite``, one ``(key, result)`` row per call, read on
-    every hit. An embedding row holds the vector's little-endian float64
-    bytes; any other row holds ``{"result": ...}`` JSON text, and an
-    embedding row in that text form, as older code wrote it, is still a hit.
-    A missing row, or one holding a value the operation could not have
-    returned, is a miss and is overwritten: ``generate`` returns a string,
-    ``score`` and ``reward`` a finite int or float (not a bool), ``embed`` a
-    finite 1-D vector that is not empty or all zero. One connection is
-    opened on the first cache access and shared by every thread under
-    ``_lock``; ``close()`` releases it, and the next access opens it again.
-    A file there that SQLite cannot use is a ``CacheError``. With no
-    ``cache_dir`` nothing is cached, and every call reaches the wrapped
-    backend (still retried and bounded). Each call that reaches it first
-    calls ``reaching_endpoint``, so a ``fan_out`` running on the thread
-    grows to its full width only once there is an endpoint to wait on. That
-    width is twice ``max_inflight``; the semaphore alone caps the calls in
-    flight, and ``peak_inflight`` records the most that held it at once.
+    A call's key is the sha256 of the schema version, the model name, the
+    operation and the call's own fields (each message's role and content,
+    then the response, completion, text or generation parameters), each
+    encoded as UTF-8 behind its 8-byte length, so distinct calls never hash
+    the same bytes and no JSON is built to make a key. Results live only in the SQLite file
+    ``cache_dir/calls.sqlite``, one ``(key, result)`` row per call under the
+    32-byte digest, read on every hit. A completion row is the completion's
+    text; a reward or score row is its little-endian float64 bytes, and an
+    embedding row the vector's. A missing row, or one holding a value the
+    operation could not have returned, is a miss and is overwritten:
+    ``generate`` returns a string, ``score`` and ``reward`` one finite
+    float, ``embed`` a finite vector that is not empty or all zero. One
+    connection is opened on the first cache access and shared by every
+    thread under ``_lock``; ``close()`` releases it, and the next access
+    opens it again. A file there that SQLite cannot use is a
+    ``CacheError``. With no ``cache_dir`` nothing is cached, and every call
+    reaches the wrapped backend (still retried and bounded). Each call that
+    reaches it first calls ``reaching_endpoint``, so a ``fan_out`` running
+    on the thread grows to its full width only once there is an endpoint to
+    wait on. That width is twice ``max_inflight``; the semaphore alone caps
+    the calls in flight, and ``peak_inflight`` records the most that held it
+    at once.
     """
 
     def __init__(self, inner, cache_dir=None, max_inflight=4, retry_budget=2):
@@ -583,13 +585,14 @@ class CachingBackend(Backend):
                 self._db.close()
                 self._db = None
 
-    def _key(self, op, payload):
-        blob = json.dumps(
-            {"v": CACHE_SCHEMA_VERSION, "model": self.model, "op": op, "payload": payload},
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    def _key(self, op, *fields):
+        """The 32-byte digest of this call: each field's 8-byte length, then its UTF-8."""
+        h = hashlib.sha256()
+        for field in (str(CACHE_SCHEMA_VERSION), self.model, op, *fields):
+            data = field.encode("utf-8")
+            h.update(len(data).to_bytes(8, "little"))
+            h.update(data)
+        return h.digest()
 
     def _execute(self, sql, args):
         """Run one statement on the store, opening it first if need be; the first row."""
@@ -606,34 +609,23 @@ class CachingBackend(Backend):
         """The result cached for ``op`` at ``key``, or ``_MISS`` if ``op`` could not return it."""
         row = self._execute("SELECT result FROM calls WHERE key = ?", (key,))
         raw = None if row is None else row[0]
-        if isinstance(raw, bytes):  # a vector's float64 bytes
-            if op != "embed" or len(raw) % 8:
+        if op == "generate":
+            return raw if isinstance(raw, str) else _MISS
+        if not isinstance(raw, bytes):  # no row, a NULL or a text
+            return _MISS
+        if op != "embed":
+            if len(raw) != 8:
                 return _MISS
-            vec = np.frombuffer(raw, "<f8").copy()
-        else:
-            try:
-                entry = json.loads(raw)
-            except (TypeError, ValueError):  # no row, a NULL or a torn text
-                return _MISS
-            if not isinstance(entry, dict) or "result" not in entry:
-                return _MISS
-            value = entry["result"]
-            if op == "generate":
-                return value if isinstance(value, str) else _MISS
-            if op != "embed":
-                return value if _finite_number(value) else _MISS
-            # a vector cached as JSON text, as rows were before they held bytes
-            if not isinstance(value, list) or not all(map(_finite_number, value)):
-                return _MISS
-            vec = np.asarray(value, dtype=float)
+            (value,) = struct.unpack("<d", raw)
+            return value if math.isfinite(value) else _MISS
+        if len(raw) % 8:
+            return _MISS
+        vec = np.frombuffer(raw, "<f8").copy()
         # every backend returns a unit vector, so an all-zero one is as corrupt as a NaN
         return vec if vec.any() and np.isfinite(vec).all() else _MISS
 
     def _store(self, key, value):
-        if isinstance(value, np.ndarray):
-            row = value.astype("<f8").tobytes()
-        else:
-            row = json.dumps({"result": value}, ensure_ascii=False)
+        row = value if isinstance(value, str) else np.asarray(value, "<f8").tobytes()
         self._execute("INSERT OR REPLACE INTO calls (key, result) VALUES (?, ?)", (key, row))
 
     @contextmanager
@@ -649,8 +641,8 @@ class CachingBackend(Backend):
                 with self._lock:
                     self._inflight -= 1
 
-    def _call(self, op, payload, compute):
-        key = None if self.cache_dir is None else self._key(op, payload)
+    def _call(self, op, fields, compute):
+        key = None if self.cache_dir is None else self._key(op, *fields)
         cached = _MISS if key is None else self._load(op, key)
         if cached is not _MISS:
             with self._lock:
@@ -678,30 +670,31 @@ class CachingBackend(Backend):
         return value
 
     def generate(self, messages, params):
-        payload = {
-            "messages": messages_payload(messages),
-            "params": {
-                "temperature": params.temperature,
-                "max_tokens": params.max_tokens,
-                "seed": params.seed,
-            },
-        }
-        return self._call("generate", payload, lambda: self.inner.generate(messages, params))
+        fields = (
+            str(len(messages)),
+            *_message_fields(messages),
+            repr((params.temperature, params.max_tokens, params.seed)),
+        )
+        return self._call("generate", fields, lambda: self.inner.generate(messages, params))
 
     def score_completion(self, messages, completion):
-        payload = {"messages": messages_payload(messages), "completion": completion}
         return self._call(
-            "score", payload, lambda: self.inner.score_completion(messages, completion)
+            "score",
+            (*_message_fields(messages), completion),
+            lambda: float(self.inner.score_completion(messages, completion)),
         )
 
     def embed(self, text):
         return self._call(
-            "embed", {"text": text}, lambda: np.asarray(self.inner.embed(text), dtype=float)
+            "embed", (text,), lambda: np.asarray(self.inner.embed(text), dtype=float)
         )
 
     def reward(self, context, response):
-        payload = {"messages": messages_payload(context), "response": response}
-        return self._call("reward", payload, lambda: self.inner.reward(context, response))
+        return self._call(
+            "reward",
+            (*_message_fields(context), response),
+            lambda: float(self.inner.reward(context, response)),
+        )
 
 
 class _Drain:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 
 from . import prompts
@@ -79,18 +80,20 @@ def _byte_offset(text, char_index):
     return len(text[:char_index].encode("utf-8"))
 
 
+_DECODER = json.JSONDecoder()
+_OPENING = re.compile(r"[\[{]")
+
+
 def extract_json(raw):
     """Find the longest balanced JSON value in the text.
 
     Returns (value, char_offset) or None when no JSON value decodes.
     """
-    decoder = json.JSONDecoder()
     best = None
-    for i, ch in enumerate(raw):
-        if ch not in "[{":
-            continue
+    for match in _OPENING.finditer(raw):
+        i = match.start()
         try:
-            value, end = decoder.raw_decode(raw, i)
+            value, end = _DECODER.raw_decode(raw, i)
         except (ValueError, RecursionError):  # deep nesting fails like bad JSON
             continue
         length = end - i

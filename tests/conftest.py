@@ -170,7 +170,7 @@ def make_example(ident, n_steps=2, n_conditions=2, seed=0, with_cot=True):
 def cached_rows(root):
     """The result of every row of every call cache file under ``root``.
 
-    A row is ``{"result": ...}`` JSON text, or ``bytes`` for an embedding vector.
+    A row is a completion's text, or the float64 ``bytes`` of a reward, score or embedding.
     """
     rows = []
     for path in sorted(Path(root).rglob("calls.sqlite")):

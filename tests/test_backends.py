@@ -1,8 +1,10 @@
 import gc
+import hashlib
 import json
 import random
 import shutil
 import sqlite3
+import struct
 import sys
 import threading
 import time
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 import requests
 
+from tracedistill import backends as backends_module
 from tracedistill import prompts
 from tracedistill.backends import (
     BackendError,
@@ -209,16 +212,17 @@ def test_no_cache_dir_means_every_call_reaches_the_backend():
 
 @pytest.mark.parametrize("content", ['{"result": "torn', "[]", '{"other": 1}'])
 def test_unusable_cache_file_is_a_miss(tmp_path, content):
-    messages = _user("damaged\n\nQuestion Parsing:")
+    # a reward row holds float64 bytes, so any text in it is unusable
+    messages = _user("damaged")
     first = CachingBackend(MockBackend(), cache_dir=tmp_path)
-    expected = first.generate(messages, PARAMS)
+    expected = first.reward(messages, "response")
     first.close()
     assert _set_every_row(tmp_path, content) == 1
     inner = MockBackend()
     backend = CachingBackend(inner, cache_dir=tmp_path)
-    assert backend.generate(messages, PARAMS) == expected
-    assert inner.calls["generate"] == 1
-    assert [json.loads(text) for text in cached_rows(tmp_path)] == [{"result": expected}]
+    assert backend.reward(messages, "response") == expected
+    assert inner.calls["reward"] == 1
+    assert cached_rows(tmp_path) == [struct.pack("<d", expected)]
 
 
 def test_store_connection_shared_by_many_threads(tmp_path):
@@ -235,7 +239,7 @@ def test_store_connection_shared_by_many_threads(tmp_path):
     backend.close()
     assert got == expected * 3
     assert backend.cache_hits + backend.cache_misses == 120
-    assert sorted(json.loads(text)["result"] for text in cached_rows(tmp_path)) == sorted(expected)
+    assert sorted(cached_rows(tmp_path)) == sorted(expected)
     reopened = CachingBackend(MockBackend(), cache_dir=tmp_path)
     assert [reopened.generate(m, PARAMS) for m in messages] == expected
     assert reopened.cache_hits == 40
@@ -288,23 +292,6 @@ def test_cached_embedding_is_the_vector_bit_for_bit_as_float64_bytes(tmp_path):
     assert len(cached_rows(tmp_path)[0]) == 8 * 48
 
 
-def test_embedding_row_in_the_old_json_text_form_is_a_hit(tmp_path):
-    expected = MockBackend().embed("a question")
-    first = CachingBackend(MockBackend(), cache_dir=tmp_path)
-    first.embed("a question")
-    first.close()
-    old = json.dumps({"result": expected.tolist()}, ensure_ascii=False)
-    assert _set_every_row(tmp_path, old) == 1
-    inner = MockBackend()
-    backend = CachingBackend(inner, cache_dir=tmp_path)
-    got = backend.embed("a question")
-    assert got.dtype == np.float64
-    assert got.tobytes() == expected.tobytes()
-    assert inner.calls["embed"] == 0
-    assert backend.cache_hits == 1
-    assert cached_rows(tmp_path) == [old]
-
-
 @pytest.mark.parametrize(
     "op, row",
     [
@@ -321,18 +308,23 @@ def test_embedding_row_in_the_old_json_text_form_is_a_hit(tmp_path):
         ("embed", '{"result": [1e999]}'),
         ("embed", '{"result": [true, false]}'),
         ("embed", '{"result": ["0.6", "0.8"]}'),
-        ("generate", '{"result": 5}'),
-        ("generate", '{"result": null}'),
-        ("generate", '{"result": ["Condition 1"]}'),
+        ("embed", '{"result": [1, 0.5]}'),
+        ("embed", None),
         ("generate", bytes(8)),
+        ("generate", None),
         ("reward", '{"result": NaN}'),
         ("reward", '{"result": Infinity}'),
         ("reward", '{"result": true}'),
         ("reward", '{"result": "1.5"}'),
         pytest.param("reward", '{"result": ' + "9" * 400 + "}", id="reward-int-past-float"),
-        ("reward", bytes(8)),
+        ("reward", struct.pack("<d", float("nan"))),
+        ("reward", bytes(16)),
+        ("reward", struct.pack("<f", 1.5)),
+        ("reward", None),
         ("score", '{"result": null}'),
         ("score", '{"result": -Infinity}'),
+        ("score", struct.pack("<d", float("-inf"))),
+        ("score", b""),
     ],
 )
 def test_cached_value_the_operation_could_not_return_is_a_miss(tmp_path, op, row):
@@ -352,10 +344,12 @@ def test_cached_value_the_operation_could_not_return_is_a_miss(tmp_path, op, row
 @pytest.mark.parametrize(
     "op, row, value",
     [
-        ("generate", '{"result": ""}', ""),
-        ("reward", '{"result": 3}', 3),
-        ("score", '{"result": -1.5}', -1.5),
-        ("embed", '{"result": [1, 0.5]}', [1.0, 0.5]),
+        ("generate", "", ""),
+        ("generate", '{"result": 5}', '{"result": 5}'),
+        ("generate", '["Condition 1"]', '["Condition 1"]'),
+        ("reward", struct.pack("<d", 3.0), 3.0),
+        ("reward", bytes(8), 0.0),
+        ("score", struct.pack("<d", -1.5), -1.5),
         ("embed", np.array([1.0, 0.5]).tobytes(), [1.0, 0.5]),
     ],
 )
@@ -369,6 +363,182 @@ def test_cached_value_the_operation_could_return_is_a_hit(tmp_path, op, row, val
     assert type(got) is (np.ndarray if op == "embed" else type(value))
     assert np.array_equal(got, value)
     assert sum(inner.calls.values()) == 0
+
+
+# sha256 over ("2", "mock-model", op, *fields), each as its 8-byte little-endian
+# UTF-8 length then its UTF-8 bytes; generate's fields are the message count,
+# each message's role and content, then "(0.1, 1024, None)"
+GOLDEN_KEYS = {
+    "generate": "6ed5bc89d5ada4bec80a38cf1e4974dd999b92c3c2101d7654d9eccff45aa02d",
+    "score": "f962358ff1aa40a03c193858eb08c350b5d818ddcb37951fb06cea50c8c58ee8",
+    "embed": "c227f394b29beeae331f840723a5e054db6f8f5ad1bf6e6e080031828fb1459b",
+    "reward": "302a394542beb9a3fe12719e9c5293dd0d6a384be75fa9304add445f756828b2",
+}
+
+
+def _stored(cache_dir):
+    with closing(sqlite3.connect(cache_dir / "calls.sqlite")) as db:
+        return db.execute("SELECT key, result FROM calls ORDER BY rowid").fetchall()
+
+
+def test_each_operation_keys_its_call_by_these_bytes(tmp_path):
+    for op, call in CALLS.items():
+        backend = CachingBackend(MockBackend(), cache_dir=tmp_path / op)
+        call(backend)
+        backend.close()
+        [(key, _)] = _stored(tmp_path / op)
+        assert key == bytes.fromhex(GOLDEN_KEYS[op])
+
+
+def _two_users(first, second):
+    return [ChatMessage(role="user", content=first), ChatMessage(role="user", content=second)]
+
+
+CALLS_ONE_FIELD_APART = {
+    "seed-None-and-0": (
+        lambda b: b.generate(_user("q"), GenParams(seed=None)),
+        lambda b: b.generate(_user("q"), GenParams(seed=0)),
+    ),
+    "temperature-1-and-1.0": (
+        lambda b: b.generate(_user("q"), GenParams(temperature=1)),
+        lambda b: b.generate(_user("q"), GenParams(temperature=1.0)),
+    ),
+    "content-response-split": (
+        lambda b: b.reward(_user("ab"), "c"),
+        lambda b: b.reward(_user("a"), "bc"),
+    ),
+    "content-completion-split": (
+        lambda b: b.score_completion(_user("ab"), "c"),
+        lambda b: b.score_completion(_user("a"), "bc"),
+    ),
+    "swapped-message-order": (
+        lambda b: b.generate(
+            [ChatMessage(role="system", content="a"), ChatMessage(role="user", content="b")], PARAMS
+        ),
+        lambda b: b.generate(
+            [ChatMessage(role="user", content="b"), ChatMessage(role="system", content="a")], PARAMS
+        ),
+    ),
+    "one-merged-message-and-two": (
+        lambda b: b.generate(_user("ab"), PARAMS),
+        lambda b: b.generate(_two_users("a", "b"), PARAMS),
+    ),
+    "one-merged-context-and-two": (
+        lambda b: b.reward(_user("ab"), "r"),
+        lambda b: b.reward(_two_users("a", "b"), "r"),
+    ),
+    "reward-and-score": (
+        lambda b: b.reward(_user("p"), "x"),
+        lambda b: b.score_completion(_user("p"), "x"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "first, second", CALLS_ONE_FIELD_APART.values(), ids=list(CALLS_ONE_FIELD_APART)
+)
+def test_calls_one_field_apart_have_their_own_keys(tmp_path, first, second):
+    backend = CachingBackend(MockBackend(), cache_dir=tmp_path)
+    first(backend)
+    second(backend)
+    assert backend.cache_misses == 2
+    assert len(_stored(tmp_path)) == 2
+
+
+def test_key_fields_are_length_prefixed_and_cover_model_op_and_version(tmp_path, monkeypatch):
+    backend = CachingBackend(MockBackend(), cache_dir=tmp_path)
+    key = backend._key
+    # ("ab", "c") against ("a", "bc") across role/content, then content/response
+    assert key("generate", "1", "ab", "c", "p") != key("generate", "1", "a", "bc", "p")
+    assert key("reward", "user", "ab", "c") != key("reward", "user", "a", "bc")
+    assert key("reward", "user", "a", "r") != key("score", "user", "a", "r")
+    other = CachingBackend(MockBackend(model="mock-model-2"), cache_dir=tmp_path)
+    assert other._key("embed", "t") != key("embed", "t")
+    before = key("embed", "t")
+    monkeypatch.setattr(backends_module, "CACHE_SCHEMA_VERSION", 3)
+    assert key("embed", "t") != before
+    CALLS["embed"](backend)
+    CALLS["embed"](other)
+    assert (backend.cache_misses, other.cache_misses) == (1, 1)
+
+
+def _v1_key(op, payload, model="mock-model"):
+    """The hex key schema version 1 gave a call: sha256 of sorted-key JSON text."""
+    blob = json.dumps(
+        {"v": 1, "model": model, "op": op, "payload": payload}, sort_keys=True, ensure_ascii=False
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _v1_messages(content):
+    return [{"role": "user", "content": content}]
+
+
+V1_PAYLOADS = {
+    "generate": {
+        "messages": _v1_messages("parse me\n\nQuestion Parsing:"),
+        "params": {"temperature": 0.1, "max_tokens": 1024, "seed": None},
+    },
+    "score": {"messages": _v1_messages("prompt"), "completion": "completion"},
+    "embed": {"text": "a question"},
+    "reward": {"messages": _v1_messages("context"), "response": "response"},
+}
+
+
+def test_store_primed_by_schema_version_1_is_served_as_misses(tmp_path):
+    expected = {op: call(CachingBackend(MockBackend())) for op, call in CALLS.items()}
+    # rows as version 1 wrote them: JSON text, and an embedding's float64 bytes
+    v1_rows = [
+        (
+            _v1_key(op, V1_PAYLOADS[op]),
+            value.tobytes() if op == "embed" else json.dumps({"result": value}),
+        )
+        for op, value in expected.items()
+    ]
+    with closing(sqlite3.connect(tmp_path / "calls.sqlite")) as db:
+        db.executescript(backends_module.CACHE_SETUP)
+        with db:
+            db.executemany("INSERT INTO calls (key, result) VALUES (?, ?)", v1_rows)
+    inner = MockBackend()
+    backend = CachingBackend(inner, cache_dir=tmp_path)
+    for op, call in CALLS.items():
+        assert np.array_equal(call(backend), expected[op])
+    backend.close()
+    assert inner.calls == {"generate": 1, "score": 1, "embed": 1, "reward": 1}
+    assert backend.cache_misses == 4
+    stored = _stored(tmp_path)
+    assert stored[:4] == v1_rows
+    assert [key for key, _ in stored[4:]] == [bytes.fromhex(GOLDEN_KEYS[op]) for op in CALLS]
+
+
+def test_a_cache_hit_does_no_json_work(tmp_path, monkeypatch):
+    first = CachingBackend(MockBackend(), cache_dir=tmp_path)
+    expected = {op: call(first) for op, call in CALLS.items()}
+    first.close()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache hit called into json")
+
+    assert backends_module.json is json
+    for owner, name in (
+        (json, "dumps"),
+        (json, "loads"),
+        (json.JSONEncoder, "encode"),
+        (json.JSONDecoder, "decode"),
+        (json.JSONDecoder, "raw_decode"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    inner = MockBackend()
+    backend = CachingBackend(inner, cache_dir=tmp_path)
+    got = {op: call(backend) for op, call in CALLS.items()}
+    monkeypatch.undo()
+    assert sum(inner.calls.values()) == 0
+    assert backend.cache_hits == 4
+    assert got["generate"] == expected["generate"]
+    for op in ("score", "reward"):
+        assert type(got[op]) is float
+        assert struct.pack("<d", got[op]) == struct.pack("<d", expected[op])
+    assert got["embed"].tobytes() == expected["embed"].tobytes()
 
 
 def test_cache_key_distinguishes_models():

@@ -2,6 +2,7 @@ import json
 import os
 import signal
 import sqlite3
+import struct
 import subprocess
 import sys
 import threading
@@ -10,7 +11,6 @@ from collections import Counter
 from contextlib import closing, contextmanager
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import (
@@ -718,7 +718,7 @@ def test_embedding_backend_failure_exits_6(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "role, row, command, outputs",
     [
-        ("generation", '{"result": 5}', "infer", ["predictions.jsonl"]),
+        ("generation", struct.pack("<d", 5.0), "infer", ["predictions.jsonl"]),
         (
             "reward",
             '{"result": NaN}',
@@ -743,22 +743,15 @@ def test_cached_value_the_call_could_not_return_is_made_again(
     assert {name: (workdir / name).read_bytes() for name in outputs} == before
 
 
-def test_rerun_over_json_embedding_rows_is_offline_and_byte_identical(tmp_path, monkeypatch):
-    config = make_config(tmp_path)
-    workdir = tmp_path / "work"
-    for command in ("induce", "synthesize", "filter", "infer"):
-        assert main([command, "--config", str(config)]) == 0
-    manifests = {p.name: p.read_bytes() for p in (workdir / "manifests").iterdir()}
-    with closing(sqlite3.connect(workdir / "cache" / "embedding" / "calls.sqlite")) as db, db:
-        rows = db.execute("SELECT key, result FROM calls").fetchall()
-        assert rows and all(isinstance(blob, bytes) for _, blob in rows)
-        db.executemany(
-            "UPDATE calls SET result = ? WHERE key = ?",
-            [
-                (json.dumps({"result": np.frombuffer(blob, "<f8").tolist()}), key)
-                for key, blob in rows
-            ],
-        )
+def _in_schema_1_form(role, result):
+    """A stored result as schema 1 held it: ``{"result": ...}`` text, or an embedding's bytes."""
+    if role == "embedding":
+        return result
+    value = result if isinstance(result, str) else struct.unpack("<d", result)[0]
+    return json.dumps({"result": value}, ensure_ascii=False)
+
+
+def test_rerun_over_rows_in_the_older_form_makes_every_call_again(tmp_path, monkeypatch):
     calls = Counter()
     track = backends_module.MockBackend._track
 
@@ -767,10 +760,38 @@ def test_rerun_over_json_embedding_rows_is_offline_and_byte_identical(tmp_path, 
         return track(self, op)
 
     monkeypatch.setattr(backends_module.MockBackend, "_track", counting)
-    for command in ("synthesize", "filter", "infer"):
+    config = make_config(tmp_path)
+    workdir = tmp_path / "work"
+    commands = ("induce", "synthesize", "filter", "infer")
+    for command in commands:
         assert main([command, "--config", str(config)]) == 0
-    assert calls == Counter()
-    assert {p.name: p.read_bytes() for p in (workdir / "manifests").iterdir()} == manifests
+    cold = +calls
+    outputs = {
+        path: (workdir / path).read_bytes()
+        for path in (p.relative_to(workdir) for p in workdir.rglob("*") if p.is_file())
+        if path.parts[0] not in ("cache", "logs")
+    }
+    # each row under a 64-digit hex text key, the form schema 1 keys took
+    older = {}
+    for store in sorted((workdir / "cache").rglob("calls.sqlite")):
+        with closing(sqlite3.connect(store)) as db, db:
+            rows = db.execute("SELECT key, result FROM calls").fetchall()
+            older[store] = [
+                (key.hex(), _in_schema_1_form(store.parent.name, result)) for key, result in rows
+            ]
+            db.execute("DELETE FROM calls")
+            db.executemany("INSERT INTO calls (key, result) VALUES (?, ?)", older[store])
+    calls.clear()
+    for command in commands:
+        assert main([command, "--config", str(config)]) == 0
+    assert calls == cold
+    assert {path: (workdir / path).read_bytes() for path in outputs} == outputs
+    for store, rows in older.items():
+        with closing(sqlite3.connect(store)) as db:
+            stored = db.execute("SELECT key, result FROM calls ORDER BY rowid").fetchall()
+        assert stored[: len(rows)] == rows
+        assert len(stored) == 2 * len(rows)
+        assert all(isinstance(key, bytes) and len(key) == 32 for key, _ in stored[len(rows) :])
 
 
 def test_commands_close_their_cache_connections(tmp_path):

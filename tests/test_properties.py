@@ -7,7 +7,7 @@ so every input must end in a value or a `ParseFailure`;
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracedistill.corpus import ReasoningTrace, SchemaError, canonicalize_verification
@@ -70,3 +70,79 @@ def test_canonicalize_verification_is_a_bool_or_a_schema_error(value):
         assert isinstance(canonicalize_verification(value), bool)
     except SchemaError:
         pass
+
+
+def _extract_json_reference(raw):
+    """``extract_json`` as it stood before its scan used a regex, kept as the reference."""
+    decoder = json.JSONDecoder()
+    best = None
+    for i, ch in enumerate(raw):
+        if ch not in "[{":
+            continue
+        try:
+            value, end = decoder.raw_decode(raw, i)
+        except (ValueError, RecursionError):  # deep nesting fails like bad JSON
+            continue
+        length = end - i
+        if best is None or length > best[2]:
+            best = (value, i, length)
+    if best is None:
+        return None
+    return best[0], best[1]
+
+
+def _mutate(parts):
+    """Cut, insert or duplicate one character of serialized JSON, so it is nearly JSON."""
+    text, at, mode, char = parts
+    at %= len(text) + 1
+    if mode == 0:
+        return text[:at] + text[at + 1 :]
+    if mode == 1:
+        return text[:at] + char + text[at:]
+    return text[:at] + text[at:][:1] * 2 + text[at + 1 :]
+
+
+BRACKETS = '[]{}",: '
+# values whose strings are mostly brackets and quotes, so an opening bracket
+# inside one value can start a longer value that runs past its end
+BRACKETED_LEAVES = st.one_of(
+    st.text(alphabet=BRACKETS + "1a", max_size=6), st.sampled_from("[{"), st.integers(0, 9)
+)
+BRACKETED_VALUES = st.recursive(
+    BRACKETED_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(alphabet=BRACKETS + "a", max_size=3), children, max_size=3),
+    ),
+    max_leaves=8,
+)
+NEAR_JSON = st.lists(
+    st.one_of(
+        RAW,
+        st.one_of(JSON_VALUES, BRACKETED_VALUES).map(
+            lambda value: json.dumps(value, ensure_ascii=False)
+        ),
+        st.tuples(
+            st.one_of(JSON_VALUES, BRACKETED_VALUES).map(json.dumps),
+            st.integers(min_value=0),
+            st.integers(0, 2),
+            st.sampled_from(BRACKETS),
+        ).map(_mutate),
+        st.text(alphabet=BRACKETS + "0123456789-.eEtrufalsnNI\\\n", max_size=40),
+        st.tuples(st.integers(0, 300), st.integers(0, 300)).map(lambda n: "[" * n[0] + "]" * n[1]),
+        # a value, then what closes a value opened by a bracket inside its strings
+        st.tuples(
+            st.lists(BRACKETED_LEAVES, min_size=1, max_size=3).map(json.dumps),
+            st.sampled_from(['"]', ' "]', '"]]', '": 1}']),
+        ).map("".join),
+    ),
+    max_size=4,
+).map("".join)
+
+
+@SETTINGS
+@given(NEAR_JSON)
+@example('["[", 1] "]')  # the value at offset 2 outruns the one at offset 0
+def test_extract_json_matches_the_reference_scan(raw):
+    # repr, not ==, so a NaN or a -0.0 value must match too
+    assert repr(extract_json(raw)) == repr(_extract_json_reference(raw))
