@@ -10,15 +10,16 @@
 
 Retrieval depth comes only from the config's `k`; filter writes every
 strategy's dataset and export all three subtask files of its strategy.
-Every run writes a manifest (config hash, input hashes, output hashes,
-format versions) under <workdir>/manifests/ and call-count diagnostics
-under <workdir>/logs/. Manifests contain no timestamps: rerunning a
-subcommand on unchanged inputs reproduces it byte for byte. The on-disk
-call cache is the only state reused across runs, and every subcommand
-closes its cache connections before it returns; index.bin is written by
-synthesize and read by no stage. Concurrent invocations against one
-working directory are rejected: each holds an exclusive flock on
-<workdir>/.lock, which the kernel drops when its holder exits (POSIX only).
+Every run writes <workdir>/logs/<cmd>_stats.json (call counts, and for
+infer each instance's per-stage seconds), then, last, its manifest
+<workdir>/manifests/<cmd>.json (config hash, input hashes, output hashes,
+format versions); a run that fails writes neither. Manifests contain no
+timestamps: rerunning a subcommand on unchanged inputs reproduces it byte
+for byte. The on-disk call cache is the only state reused across runs, and
+every subcommand closes its cache connections before it returns; index.bin
+is written by synthesize and read by no stage. Concurrent invocations
+against one working directory are rejected: each holds an exclusive flock
+on <workdir>/.lock, which the kernel drops when its holder exits (POSIX only).
 Failures print a machine-readable JSON error on stderr and exit nonzero.
 """
 
@@ -28,6 +29,7 @@ import argparse
 import fcntl
 import hashlib
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -84,6 +86,10 @@ def _sha256_file(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _json_text(value):
+    return json.dumps(value, sort_keys=True, ensure_ascii=False, indent=1) + "\n"
+
+
 @contextmanager
 def workdir_lock(workdir):
     """Hold an exclusive ``flock`` on ``<workdir>/.lock`` for the block.
@@ -116,6 +122,15 @@ def open_backends(config):
             backend.close()
 
 
+def _replace_text(path, text):
+    """Write ``text`` to a temporary file beside ``path``, then rename it over
+    ``path``: a run that dies mid-write leaves the old file, never a torn one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def write_manifest(config, command, inputs, outputs):
     manifest = {
         "command": command,
@@ -134,12 +149,7 @@ def write_manifest(config, command, inputs, outputs):
         },
     }
     path = config.workdir / "manifests" / f"{command}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(manifest, sort_keys=True, ensure_ascii=False, indent=1) + "\n",
-        encoding="utf-8",
-    )
-    return path
+    _replace_text(path, _json_text(manifest))
 
 
 def write_run_stats(config, command, backends, **counts):
@@ -157,252 +167,195 @@ def write_run_stats(config, command, backends, **counts):
         **counts,
     }
     path = config.workdir / "logs" / f"{command}_stats.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    return payload
+    _replace_text(path, _json_text(payload))
 
 
-def _require(path, needed_command):
-    if not Path(path).exists():
-        raise MissingArtifactError(path, needed_command)
-    return Path(path)
+class Run:
+    """One subcommand's config, arguments and open backends, and the files it
+    declares as its manifest inputs."""
+
+    def __init__(self, config, args, backends):
+        self.config = config
+        self.args = args
+        self.backends = backends
+        self.inputs = {}
+
+    def read(self, name, path, upstream=None):
+        """Declare ``path`` the manifest input ``name``. With ``upstream``, the
+        command that writes it, a missing file is a ``MissingArtifactError``."""
+        path = Path(path)
+        if upstream is not None and not path.exists():
+            raise MissingArtifactError(path, upstream)
+        self.inputs[name] = path
+        return path
+
+    def instruction(self, subtask):
+        """The instruction that ``induce`` wrote for ``subtask``."""
+        name = f"prompts/{subtask}.txt"
+        path = self.read(name, self.config.workdir / name, "induce")
+        return path.read_text(encoding="utf-8").rstrip("\n")
+
+    def retrieval(self):
+        """The seed's cards and index, embedded anew each run (the cache makes that cheap)."""
+        seed = load_seed(self.read("seed", self.config.seed_path))
+        embed = self.backends["embedding"].embed
+        index = build_index(seed, embed, encoder=self.config.profiles["embedding"].model)
+        return seed_cards(seed), index
+
+    def examples(self, name, path, upstream):
+        """The examples of a dataset file that ``upstream`` writes; an empty file holds none."""
+        path = self.read(name, path, upstream)
+        return load_seed(path) if path.read_text(encoding="utf-8").strip() else []
 
 
-def _prompt_paths(config, subtask):
-    return (
-        config.workdir / "prompts" / f"{subtask}.txt",
-        config.workdir / "prompts" / f"{subtask}.json",
-    )
-
-
-def _load_instruction(config, subtask):
-    text_path = _require(_prompt_paths(config, subtask)[0], "induce")
-    return text_path.read_text(encoding="utf-8").rstrip("\n")
-
-
-def _seed_index(config, backends, seed):
-    """Embed the seed questions; every run rebuilds it, and the cache makes that cheap."""
-    return build_index(
-        seed, backends["embedding"].embed, encoder=config.profiles["embedding"].model
-    )
-
-
-def cmd_induce(config, args):
-    with open_backends(config) as backends:
-        seed = load_seed(config.seed_path)
-        outputs = []
-        for subtask in ("QP", "UCoT"):
-            icfg = InductionConfig(
-                subtask=subtask,
-                n_candidates=config.n_candidates,
-                held_out_fraction=config.held_out_fraction,
-                normalization=config.normalization,
-                temperature=config.params.temperature,
-                max_tokens=config.params.max_tokens,
-                base_seed=config.params.seed,
-            )
-            winner, report = induce_prompt(
-                icfg,
-                seed,
-                backends["generation"],
-                judge_backend=backends["judge"],
-                reward_backend=backends["reward"],
-            )
-            report["backends"] = {
-                "generation": config.profiles["generation"].model,
-                "judge": config.profiles["judge"].model,
-                "reward": config.profiles["reward"].model,
-            }
-            text_path, report_path = _prompt_paths(config, subtask)
-            text_path.parent.mkdir(parents=True, exist_ok=True)
-            text_path.write_text(winner.text + "\n", encoding="utf-8")
-            report_path.write_text(
-                json.dumps(report, sort_keys=True, ensure_ascii=False, indent=1) + "\n",
-                encoding="utf-8",
-            )
-            outputs += [text_path, report_path]
-        write_run_stats(config, "induce", backends)
-        write_manifest(config, "induce", {"seed": config.seed_path}, outputs)
-        print(f"induced prompts for QP and UCoT -> {config.workdir / 'prompts'}")
-        return 0
-
-
-def cmd_synthesize(config, args):
-    qp_instruction = _load_instruction(config, "QP")
-    ucot_instruction = _load_instruction(config, "UCoT")
-    with open_backends(config) as backends:
-        seed = load_seed(config.seed_path)
-        pool = load_questions(config.pool_path)
-        cards = seed_cards(seed)
-        index = _seed_index(config, backends, seed)
-        index_path = config.workdir / "index.bin"
-        save_index(index, index_path)
-
-        records, errors = synthesize_batch(
-            pool,
-            index,
-            cards,
-            backends["generation"],
-            qp_instruction=qp_instruction,
-            ucot_instruction=ucot_instruction,
-            k=config.k,
-            params=config.params,
+def cmd_induce(run):
+    config = run.config
+    seed = load_seed(run.read("seed", config.seed_path))
+    outputs = []
+    for subtask in ("QP", "UCoT"):
+        icfg = InductionConfig(
+            subtask=subtask,
+            n_candidates=config.n_candidates,
+            held_out_fraction=config.held_out_fraction,
+            normalization=config.normalization,
+            temperature=config.params.temperature,
+            max_tokens=config.params.max_tokens,
+            base_seed=config.params.seed,
         )
-        out_path = config.workdir / "synthesized.jsonl"
-        save_jsonl(out_path, (record_to_json(r) for r in records))
-        save_jsonl(config.workdir / "logs" / "synthesize_errors.jsonl", errors)
-        write_run_stats(config, "synthesize", backends)
-        inputs = {
-            "seed": config.seed_path,
-            "pool": config.pool_path,
-            "prompts/QP.txt": _prompt_paths(config, "QP")[0],
-            "prompts/UCoT.txt": _prompt_paths(config, "UCoT")[0],
+        winner, report = induce_prompt(
+            icfg,
+            seed,
+            run.backends["generation"],
+            judge_backend=run.backends["judge"],
+            reward_backend=run.backends["reward"],
+        )
+        report["backends"] = {
+            role: config.profiles[role].model for role in ("generation", "judge", "reward")
         }
-        write_manifest(config, "synthesize", inputs, [out_path, index_path])
-        ok = sum(1 for r in records if r.parse_status == "ok")
-        print(f"synthesized {len(records)} records ({ok} parsed clean) -> {out_path}")
-        return 0
+        text_path = config.workdir / "prompts" / f"{subtask}.txt"
+        report_path = text_path.with_suffix(".json")
+        text_path.parent.mkdir(parents=True, exist_ok=True)
+        text_path.write_text(winner.text + "\n", encoding="utf-8")
+        report_path.write_text(_json_text(report), encoding="utf-8")
+        outputs += [text_path, report_path]
+    return outputs, {}, f"induced prompts for QP and UCoT -> {config.workdir / 'prompts'}"
+
+
+def cmd_synthesize(run):
+    config = run.config
+    qp_instruction = run.instruction("QP")
+    ucot_instruction = run.instruction("UCoT")
+    pool = load_questions(run.read("pool", config.pool_path))
+    cards, index = run.retrieval()
+    index_path = config.workdir / "index.bin"
+    save_index(index, index_path)
+    records, errors = synthesize_batch(
+        pool,
+        index,
+        cards,
+        run.backends["generation"],
+        qp_instruction=qp_instruction,
+        ucot_instruction=ucot_instruction,
+        k=config.k,
+        params=config.params,
+    )
+    out_path = config.workdir / "synthesized.jsonl"
+    save_jsonl(out_path, (record_to_json(r) for r in records))
+    save_jsonl(config.workdir / "logs" / "synthesize_errors.jsonl", errors)
+    ok = sum(1 for r in records if r.parse_status == "ok")
+    message = f"synthesized {len(records)} records ({ok} parsed clean) -> {out_path}"
+    return [out_path, index_path], {}, message
 
 
 def _filtered_path(config, strategy):
     return config.workdir / f"filtered_{strategy}.jsonl"
 
 
-def cmd_filter(config, args):
-    synth_path = _require(config.workdir / "synthesized.jsonl", "synthesize")
-    instruction = _load_instruction(config, "UCoT")
-    with open_backends(config) as backends:
-        seed = load_seed(config.seed_path)
-        cards = seed_cards(seed)
-        records = load_records(synth_path)
-        index = _seed_index(config, backends, seed)
-        result = run_filter(
-            records,
-            index,
-            cards,
-            backends["reward"],
-            k=config.k,
-            threshold=config.reward_threshold,
-            instruction=instruction,
-        )
-        outputs = []
-        for strategy in STRATEGIES:
-            path = _filtered_path(config, strategy)
-            save_jsonl(path, (seed_to_json(to_training_example(r)) for r in result.kept[strategy]))
-            outputs.append(path)
-        audit_path = config.workdir / "filter_audit.jsonl"
-        save_jsonl(audit_path, (o.to_json() for o in result.outcomes))
-        outputs.append(audit_path)
-        write_run_stats(config, "filter", backends)
-        inputs = {
-            "synthesized": synth_path,
-            "seed": config.seed_path,
-            "prompts/UCoT.txt": _prompt_paths(config, "UCoT")[0],
-        }
-        write_manifest(config, "filter", inputs, outputs)
-        sizes = ", ".join(f"{s}={len(result.kept[s])}" for s in STRATEGIES)
-        print(f"filtered {len(records)} records -> kept {sizes}; audit -> {audit_path}")
-        return 0
-
-
-def cmd_export(config, args):
-    strategy = args.strategy or config.strategy
-    filtered = _require(_filtered_path(config, strategy), "filter")
-    examples = [] if _file_is_empty(filtered) else load_seed(filtered)
+def cmd_filter(run):
+    config = run.config
+    synth_path = run.read("synthesized", config.workdir / "synthesized.jsonl", "synthesize")
+    instruction = run.instruction("UCoT")
+    records = load_records(synth_path)
+    cards, index = run.retrieval()
+    result = run_filter(
+        records,
+        index,
+        cards,
+        run.backends["reward"],
+        k=config.k,
+        threshold=config.reward_threshold,
+        instruction=instruction,
+    )
     outputs = []
-    counts = {}
-    for subtask in SUBTASKS:
-        path = config.workdir / "sft" / f"{strategy}_{subtask}.jsonl"
-        counts[subtask] = export_sft(examples, subtask, path)
+    for strategy in STRATEGIES:
+        path = _filtered_path(config, strategy)
+        save_jsonl(path, (seed_to_json(to_training_example(r)) for r in result.kept[strategy]))
         outputs.append(path)
-    write_manifest(config, "export", {"filtered": filtered}, outputs)
-    rendered = ", ".join(f"{s}: {counts[s]} lines" for s in SUBTASKS)
-    print(f"exported strategy {strategy} ({rendered}) -> {config.workdir / 'sft'}")
-    return 0
+    audit_path = config.workdir / "filter_audit.jsonl"
+    save_jsonl(audit_path, (o.to_json() for o in result.outcomes))
+    sizes = ", ".join(f"{s}={len(result.kept[s])}" for s in STRATEGIES)
+    message = f"filtered {len(records)} records -> kept {sizes}; audit -> {audit_path}"
+    return outputs + [audit_path], {}, message
 
 
-def _file_is_empty(path):
-    return not Path(path).read_text(encoding="utf-8").strip()
+def cmd_export(run):
+    config = run.config
+    strategy = run.args.strategy or config.strategy
+    examples = run.examples("filtered", _filtered_path(config, strategy), "filter")
+    paths = {s: config.workdir / "sft" / f"{strategy}_{s}.jsonl" for s in SUBTASKS}
+    lines = {s: export_sft(examples, s, path) for s, path in paths.items()}
+    rendered = ", ".join(f"{s}: {lines[s]} lines" for s in SUBTASKS)
+    message = f"exported strategy {strategy} ({rendered}) -> {config.workdir / 'sft'}"
+    return list(paths.values()), {"sft_lines": lines}, message
 
 
-def cmd_infer(config, args):
-    with open_backends(config) as backends:
-        seed = load_seed(config.seed_path)
-        cards = seed_cards(seed)
-        instances = load_questions(config.pool_path)
-        missing_cot = [x.id for x in instances if not (x.cot or "").strip()]
-        if missing_cot:
-            raise CascadeError(
-                f"inference instances must carry CoT text; missing for ids {missing_cot[:5]}"
-                + ("..." if len(missing_cot) > 5 else "")
-            )
-        index = _seed_index(config, backends, seed)
-        pipeline = CascadePipeline(
-            backends, index, cards, k=config.k, params=config.params
+def cmd_infer(run):
+    config = run.config
+    instances = load_questions(run.read("pool", config.pool_path))
+    missing_cot = [x.id for x in instances if not (x.cot or "").strip()]
+    if missing_cot:
+        raise CascadeError(
+            f"inference instances must carry CoT text; missing for ids {missing_cot[:5]}"
+            + ("..." if len(missing_cot) > 5 else "")
         )
-        outputs = pipeline.run_batch(instances)
-        out_path = Path(args.out) if args.out else config.workdir / "predictions.jsonl"
-        write_predictions(out_path, outputs)
-        timings = {
-            o.instance_id: {
-                name: round(stage.finished - stage.started, 6) for name, stage in o.stages.items()
-            }
-            for o in outputs
-        }
-        timings_path = config.workdir / "logs" / "infer_timings.json"
-        timings_path.parent.mkdir(parents=True, exist_ok=True)
-        timings_path.write_text(json.dumps(timings, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        backend_failed = sum(1 for o in outputs if BACKEND_FAILED in o.flags)
-        write_run_stats(config, "infer", backends, backend_failed=backend_failed)
-        write_manifest(
-            config,
-            "infer",
-            {"seed": config.seed_path, "pool": config.pool_path},
-            [out_path] if out_path.is_relative_to(config.workdir) else [],
-        )
-        flagged = sum(1 for o in outputs if o.flags)
-        print(
-            f"ran cascade on {len(outputs)} instances ({flagged} flagged, "
-            f"{backend_failed} failed at the backend) -> {out_path}"
-        )
-        return 0
+    cards, index = run.retrieval()
+    pipeline = CascadePipeline(run.backends, index, cards, k=config.k, params=config.params)
+    results = pipeline.run_batch(instances)
+    out_path = Path(run.args.out) if run.args.out else config.workdir / "predictions.jsonl"
+    write_predictions(out_path, results)
+    stage_seconds = {
+        r.instance_id: {name: round(s.finished - s.started, 6) for name, s in r.stages.items()}
+        for r in results
+    }
+    backend_failed = sum(1 for r in results if BACKEND_FAILED in r.flags)
+    flagged = sum(1 for r in results if r.flags)
+    return (
+        [out_path] if out_path.is_relative_to(config.workdir) else [],
+        {"backend_failed": backend_failed, "stage_seconds": stage_seconds},
+        f"ran cascade on {len(results)} instances ({flagged} flagged, "
+        f"{backend_failed} failed at the backend) -> {out_path}",
+    )
 
 
-def cmd_eval(config, args):
-    pred = Path(args.pred) if args.pred else config.workdir / "predictions.jsonl"
-    if not pred.exists():
-        raise MissingArtifactError(pred, "infer")
-    gold = Path(args.gold) if args.gold else config.gold_path
+def cmd_eval(run):
+    config, args = run.config, run.args
+    pred = run.read("pred", args.pred or config.workdir / "predictions.jsonl", "infer")
+    gold = args.gold or config.gold_path
     if gold is None:
         raise ConfigError("no gold file: pass --gold or set paths.gold in the config")
-    report = evaluate(pred, gold, config.policy)
+    report = evaluate(pred, run.read("gold", gold), config.policy)
     report_path = config.workdir / "eval_report.json"
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(
-        json.dumps(report.to_json(), sort_keys=True, ensure_ascii=False, indent=1) + "\n",
-        encoding="utf-8",
-    )
-    write_manifest(config, "eval", {"pred": pred, "gold": gold}, [report_path])
-    print(format_report(report))
-    return 0
+    report_path.write_text(_json_text(report.to_json()), encoding="utf-8")
+    return [report_path], {}, format_report(report)
 
 
-def cmd_stats(config, args):
-    if args.data:
-        data = Path(args.data)
-        if not data.exists():
-            raise MissingArtifactError(data, "filter")
-    else:
-        strategy = args.strategy or config.strategy
-        data = _require(_filtered_path(config, strategy), "filter")
-    examples = [] if _file_is_empty(data) else load_seed(data)
-    stats = compute_stats([e.trace for e in examples])
-    print(f"{'Total':>8} {'QP':>8} {'CP':>8} {'CV':>8}")
-    print(
-        f"{stats.total_traces:>8} {stats.qp_count:>8} {stats.cp_count:>8} {stats.cv_count:>8}"
-    )
-    write_manifest(config, "stats", {"data": data}, [])
-    return 0
+def cmd_stats(run):
+    config, args = run.config, run.args
+    data = args.data or _filtered_path(config, args.strategy or config.strategy)
+    stats = compute_stats([e.trace for e in run.examples("data", data, "filter")])
+    rows = [("Total", "QP", "CP", "CV")]
+    rows.append((stats.total_traces, stats.qp_count, stats.cp_count, stats.cv_count))
+    return [], {}, "\n".join(" ".join(f"{cell:>8}" for cell in row) for row in rows)
 
 
 COMMANDS = {
@@ -414,6 +367,18 @@ COMMANDS = {
     "eval": cmd_eval,
     "stats": cmd_stats,
 }
+
+
+def run_command(config, args):
+    """Run the body of ``args.command`` with the run's backends open, then
+    write its stats and, last, its manifest; a body that raises writes neither."""
+    with open_backends(config) as backends:
+        run = Run(config, args, backends)
+        outputs, counts, message = COMMANDS[args.command](run)
+        write_run_stats(config, args.command, backends, **counts)
+        write_manifest(config, args.command, run.inputs, outputs)
+    print(message)
+    return 0
 
 
 def build_parser():
@@ -455,7 +420,7 @@ def main(argv=None):
     try:
         config = load_config(args.config)
         with workdir_lock(config.workdir):
-            return COMMANDS[args.command](config, args)
+            return run_command(config, args)
     except Exception as exc:  # machine-readable failure surface
         for exc_type, code in EXIT_CODES.items():
             if isinstance(exc, exc_type):

@@ -25,6 +25,7 @@ from conftest import (
 from tracedistill import backends as backends_module
 from tracedistill import prompts
 from tracedistill.backends import build_reward_payload
+from tracedistill.cascade import STAGES as CASCADE_STAGES
 from tracedistill.cli import WorkdirLockedError, build_parser, main, workdir_lock
 from tracedistill.corpus import instance_to_json, seed_to_json, trace_to_json
 from tracedistill.filtering import build_reward_prompts
@@ -820,3 +821,55 @@ def test_each_seed_gold_block_is_rendered_once_per_command(tmp_path, monkeypatch
         assert main([command, "--config", str(config)]) == 0
         assert set(rendered.values()) == {1}, command
         assert {subtask for _, subtask in rendered} == {"QP", "UCoT"}
+
+
+ALL_COMMANDS = ("induce", "synthesize", "filter", "export", "infer", "eval", "stats")
+
+
+def test_every_command_writes_its_stats_then_its_manifest(tmp_path):
+    config = make_config(tmp_path)
+    workdir = tmp_path / "work"
+    for command in ALL_COMMANDS:
+        assert main([command, "--config", str(config)]) == 0, command
+        stats = workdir / "logs" / f"{command}_stats.json"
+        manifest = workdir / "manifests" / f"{command}.json"
+        assert json.loads(stats.read_text(encoding="utf-8"))["command"] == command
+        assert stats.stat().st_mtime_ns <= manifest.stat().st_mtime_ns, command
+    assert sorted(p.name for p in (workdir / "manifests").iterdir()) == sorted(
+        f"{command}.json" for command in ALL_COMMANDS
+    )
+    assert not list(workdir.rglob("*.tmp"))
+
+    stats = json.loads((workdir / "logs" / "infer_stats.json").read_text(encoding="utf-8"))
+    assert sorted(stats["stage_seconds"]) == [f"pool-{i:02d}" for i in range(6)]
+    for seconds in stats["stage_seconds"].values():
+        assert set(seconds) == set(CASCADE_STAGES)
+        assert all(value >= 0 for value in seconds.values())
+    assert not (workdir / "logs" / "infer_timings.json").exists()
+
+
+def test_a_command_that_fails_writes_no_stats_and_no_manifest(tmp_path, capsys):
+    config = make_config(tmp_path)
+    row = instance_to_json(make_example("pool-00").instance)
+    row.pop("cot", None)
+    write_jsonl(tmp_path / "pool.jsonl", [row])
+    assert main(["infer", "--config", str(config)]) == 5
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "CascadeError"
+    workdir = tmp_path / "work"
+    assert not (workdir / "logs" / "infer_stats.json").exists()
+    assert not (workdir / "manifests" / "infer.json").exists()
+
+
+def test_commands_that_call_no_backend_create_no_call_cache(tmp_path):
+    config = make_config(tmp_path)
+    workdir = tmp_path / "work"
+    write_jsonl(workdir / "filtered_average.jsonl", [seed_to_json(make_example("kept"))])
+    gold = str(tmp_path / "gold.jsonl")
+    for argv in (["export"], ["eval", "--pred", gold], ["stats"]):
+        assert main(argv + ["--config", str(config)]) == 0, argv
+        stats = json.loads((workdir / "logs" / f"{argv[0]}_stats.json").read_text())
+        assert (stats["backend_calls"], stats["cache_hits"]) == (0, 0)
+    assert json.loads((workdir / "logs" / "export_stats.json").read_text())["sft_lines"] == {
+        "QP": 1, "CP": 1, "CV": 2
+    }
+    assert not (workdir / "cache").exists()

@@ -4,7 +4,9 @@ Imports sit at module level, never inside a function body, and only
 ``cli.main`` catches ``Exception``: everywhere else a handler names the
 errors it expects, so an unexpected one reaches ``main`` with its own type
 and exit code. Only ``backends.fan_out`` builds a thread pool or thread,
-and only ``CachingBackend.__init__`` builds a semaphore.
+and only ``CachingBackend.__init__`` builds a semaphore. Only
+``cli.run_command`` opens a run's backends and writes its stats file and
+manifest, and only ``cli.Run.read`` raises ``MissingArtifactError``.
 """
 
 import ast
@@ -108,11 +110,12 @@ def constructions(source, names):
     return found
 
 
-def constructions_outside(names, allowed):
-    """File name -> constructions of ``names`` in the package, except in the ``allowed`` function."""
+def constructions_outside(names, allowed, find=constructions):
+    """File name -> what ``find`` reports for ``names`` in the package, except in the
+    ``allowed`` (file name, function) pair; ``find`` defaults to ``constructions``."""
     offenders = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        found = constructions(path.read_text(encoding="utf-8"), names)
+        found = find(path.read_text(encoding="utf-8"), names)
         found = [h for h in found if (path.name, h[0]) != allowed]
         if found:
             offenders[path.name] = found
@@ -161,3 +164,43 @@ def test_detector_finds_semaphore_constructions_by_method():
 def test_only_caching_backend_builds_semaphores():
     """``max_inflight`` stays the one in-flight cap: the only semaphore is ``CachingBackend``'s."""
     assert constructions_outside(SEMAPHORES, ("backends.py", "CachingBackend.__init__")) == {}
+
+
+RUN_RECORDS = {"open_backends", "write_run_stats", "write_manifest"}
+
+
+def test_only_run_command_opens_backends_and_writes_run_records():
+    """One runner gives every subcommand its backends, its stats file and, last, its manifest."""
+    assert constructions_outside(RUN_RECORDS, ("cli.py", "run_command")) == {}
+
+
+def raises(source, names):
+    """(enclosing function, line) of each ``raise`` of one of ``names``, called or bare."""
+    found = []
+    for function, node in nodes_by_function(source):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+            if name in names:
+                found.append((function, node.lineno))
+    return found
+
+
+def test_detector_finds_raises_by_exception_name():
+    source = (
+        "class Run:\n"
+        "    def read(self, path):\n"
+        "        raise MissingArtifactError(path, 'induce')\n"
+        "def f():\n"
+        "    raise cli.MissingArtifactError\n"
+        "    raise ValueError('MissingArtifactError')\n"
+        "    MissingArtifactError('p', 'q')\n"
+        "raise MissingArtifactError\n"
+    )
+    assert raises(source, {"MissingArtifactError"}) == [("Run.read", 3), ("f", 5), (None, 8)]
+
+
+def test_only_run_read_raises_missing_artifact():
+    """Every upstream artifact is declared through ``Run.read``, the one place its check sits."""
+    allowed = ("cli.py", "Run.read")
+    assert constructions_outside({"MissingArtifactError"}, allowed, find=raises) == {}
