@@ -41,6 +41,7 @@ import math
 import os
 import sqlite3
 import struct
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -544,15 +545,18 @@ class CachingBackend(Backend):
     ``generate`` returns a string, ``score`` and ``reward`` one finite
     float, ``embed`` a finite vector that is not empty or all zero. One
     connection is opened on the first cache access and shared by every
-    thread under ``_lock``; ``close()`` releases it, and the next access
-    opens it again. A file there that SQLite cannot use is a
-    ``CacheError``. With no ``cache_dir`` nothing is cached, and every call
-    reaches the wrapped backend (still retried and bounded). Each call that
-    reaches it first calls ``reaching_endpoint``, so a ``fan_out`` running
-    on the thread grows to its full width only once there is an endpoint to
-    wait on. That width is twice ``max_inflight``; the semaphore alone caps
-    the calls in flight, and ``peak_inflight`` records the most that held it
-    at once.
+    thread under its own ``_db_lock``, so a call giving back its slot never
+    waits on another thread's statement; ``_lock`` guards only the counters.
+    ``close()`` releases the connection, and the next access opens it
+    again. A file there that SQLite cannot use is a ``CacheError``. With no
+    ``cache_dir`` nothing is cached, and every call reaches the wrapped
+    backend (still retried and bounded). Each call that reaches it first
+    calls ``reaching_endpoint``, then, holding its slot, times its attempts
+    in wall and thread CPU seconds and reports them to
+    ``endpoint_answered``, so a ``fan_out`` running on the thread keeps its
+    full width only while calls wait on an endpoint. That width is twice
+    ``max_inflight``; the semaphore alone caps the calls in flight, and
+    ``peak_inflight`` records the most that held it at once.
     """
 
     def __init__(self, inner, cache_dir=None, max_inflight=4, retry_budget=2):
@@ -563,6 +567,7 @@ class CachingBackend(Backend):
         self.max_inflight = max_inflight
         self._sem = threading.BoundedSemaphore(max_inflight)
         self._lock = threading.Lock()
+        self._db_lock = threading.Lock()
         self._db = None
         self._inflight = 0
         self.peak_inflight = 0
@@ -580,7 +585,7 @@ class CachingBackend(Backend):
 
     def close(self):
         """Close the store connection, which folds SQLite's side files back into it."""
-        with self._lock:
+        with self._db_lock:
             if self._db is not None:
                 self._db.close()
                 self._db = None
@@ -596,7 +601,7 @@ class CachingBackend(Backend):
 
     def _execute(self, sql, args):
         """Run one statement on the store, opening it first if need be; the first row."""
-        with self._lock:
+        with self._db_lock:
             try:
                 if self._db is None:
                     self._db = _open_store(self.cache_dir)
@@ -650,6 +655,7 @@ class CachingBackend(Backend):
             return cached
         reaching_endpoint()
         with self._slot():
+            started, started_cpu = time.perf_counter(), time.thread_time()
             last = None
             value = _MISS
             for attempt in range(self.retry_budget + 1):
@@ -659,6 +665,7 @@ class CachingBackend(Backend):
                 except TransientBackendError as exc:
                     last = exc
                     log.warning("transient %s failure (attempt %d): %s", op, attempt + 1, exc)
+            endpoint_answered(time.perf_counter() - started, time.thread_time() - started_cpu)
             if value is _MISS:
                 raise BackendError(
                     f"{op} failed after {self.retry_budget} retries: {last}"
@@ -702,9 +709,12 @@ class _Drain:
 
     Each task runs the next unclaimed item until none is left or ``stop``
     is set, and records in ``at`` the index it is running, so a task that
-    raised names its item. ``grow`` is the hook the tasks leave on their
-    threads. These are methods, not closures that refer to one another, so
-    no reference cycle keeps the items alive once the fan-out returns.
+    raised names its item. ``live`` counts the tasks submitted and not yet
+    ended, ``waited`` is the verdict on the latest endpoint call one of them
+    made, and the tasks leave the drain on their threads for
+    ``reaching_endpoint`` and ``endpoint_answered`` to find. These are
+    methods, not closures that refer to one another, so no reference cycle
+    keeps the items alive once the fan-out returns.
     """
 
     def __init__(self, fn, items, pool, width):
@@ -716,27 +726,41 @@ class _Drain:
         self.at = []
         self.futures = []
         self.next = 0
+        self.live = 0
         self.stop = False
-        self.grown = False
+        self.waited = True
         self.lock = threading.Lock()
 
     def submit(self):
+        """Start one more task; the caller holds ``lock``."""
+        self.live += 1
         self.at.append(None)
         self.futures.append(self.pool.submit(self.run, len(self.at) - 1))
 
     def grow(self):
-        # only the first task runs until this flips, so it needs no lock
-        if not self.grown:
-            self.grown = True
-            for _ in range(min(self.width, len(self.items)) - 1):
-                self.submit()
+        """Top the tasks up to ``width`` while calls wait and unclaimed items remain."""
+        # checked without the lock first, so a call that starts no task never takes it
+        if not self.waited or self.live >= self.width or self.next == len(self.items):
+            return
+        with self.lock:
+            if not self.stop:
+                for _ in range(min(self.width - self.live, len(self.items) - self.next)):
+                    self.submit()
 
     def run(self, task):
-        _fanning.grow = self.grow
+        _fanning.drain = self
+        ran = False
         try:
             while True:
                 with self.lock:
-                    if self.stop or self.next == len(self.items):
+                    # a task that has run an item leaves while calls compute in-process,
+                    # so one worker does not hand the interpreter lock back and forth
+                    if (
+                        self.stop
+                        or self.next == len(self.items)
+                        or (ran and not self.waited and self.live > 1)
+                    ):
+                        self.live -= 1
                         return
                     index = self.at[task] = self.next
                     self.next += 1
@@ -745,21 +769,39 @@ class _Drain:
                     self.results[index] = self.fn(self.items[index])
                     done = True
                 finally:
-                    if not done:
+                    if not done:  # still counted in ``live``, but no task starts after ``stop``
                         self.stop = True
+                ran = True
         finally:
-            _fanning.grow = None
+            _fanning.drain = None
 
 
-# holds the running fan-out task's ``_Drain.grow`` on each worker thread
+# holds the ``_Drain`` whose task runs on each worker thread
 _fanning = threading.local()
 
 
 def reaching_endpoint():
-    """Tell the fan-out running on this thread, if any, that a call waits on an endpoint."""
-    grow = getattr(_fanning, "grow", None)
-    if grow is not None:
-        grow()
+    """Tell the fan-out running on this thread, if any, that a call is about to reach an endpoint."""
+    drain = getattr(_fanning, "drain", None)
+    if drain is not None:
+        drain.grow()
+
+
+def endpoint_answered(wall, cpu):
+    """Tell the fan-out running on this thread, if any, how an endpoint call spent its time.
+
+    A call of at least one switch interval waited on its endpoint; a
+    shorter one that kept the CPU for half its ``wall`` seconds or more was
+    computed in-process. Anything else (a short socket wait, a call
+    stretched by waiting for the interpreter lock) leaves the verdict as it
+    was.
+    """
+    drain = getattr(_fanning, "drain", None)
+    if drain is not None:
+        if wall >= sys.getswitchinterval():
+            drain.waited = True
+        elif 2 * cpu >= wall:
+            drain.waited = False
 
 
 def fan_out(backend, fn, items):
@@ -767,24 +809,29 @@ def fan_out(backend, fn, items):
 
     Items run on one worker thread while the cache answers every call they
     make, since more threads would only contend for the interpreter lock.
-    The first call that reaches a wrapped backend (``reaching_endpoint``)
-    starts the other workers, up to twice ``max_inflight``: each worker
-    spends part of every item away from the endpoint (rendering, parsing,
-    the cache store, another role's call), so a second worker per slot has
-    a request ready whenever a slot frees. The backend's semaphore still
-    caps the calls in flight at ``max_inflight``. Workers take items in
-    order from one cursor and the caller only waits. Results come back in
-    item order. Once an item raises no new item starts, and the error of
-    the first item in item order that raised is raised. A fan-out nested
-    inside an item grows only its own workers. A backend without
-    ``max_inflight`` (an uncached fake) runs the items one at a time.
+    A call that reaches a wrapped backend (``reaching_endpoint``) while the
+    latest such call waited on its endpoint tops the workers up to twice
+    ``max_inflight``: each worker spends part of every item away from the
+    endpoint (rendering, parsing, the cache store, another role's call), so
+    a second worker per slot has a request ready whenever a slot frees. The
+    first call counts as one that waited. Once a call comes back computed
+    in-process (``endpoint_answered``), each worker that finishes an item
+    leaves while another is still running, down to one. The backend's
+    semaphore still caps the calls in flight at ``max_inflight``. Workers
+    take items in order from one cursor and the caller only waits. Results
+    come back in item order. Once an item raises no new item starts, and
+    the error of the first item in item order that raised is raised. A
+    fan-out nested inside an item grows only its own workers. A backend
+    without ``max_inflight`` (an uncached fake) runs the items one at a
+    time.
     """
     width = 2 * backend.max_inflight if hasattr(backend, "max_inflight") else 1
     with ThreadPoolExecutor(width) as pool:
         drain = _Drain(fn, list(items), pool, width)
-        drain.submit()
+        with drain.lock:
+            drain.submit()
         try:
-            # the first task appends the others before it ends, so this loop sees them
+            # only a running task submits another, so this loop sees every task
             for future in drain.futures:
                 future.exception()
         finally:  # a wait cut short, by an interrupt say, starts no new item

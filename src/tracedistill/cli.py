@@ -29,7 +29,6 @@ import argparse
 import fcntl
 import hashlib
 import json
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -46,6 +45,7 @@ from .corpus import (
     export_sft,
     load_questions,
     load_seed,
+    replacing,
     save_jsonl,
     seed_to_json,
 )
@@ -122,15 +122,6 @@ def open_backends(config):
             backend.close()
 
 
-def _replace_text(path, text):
-    """Write ``text`` to a temporary file beside ``path``, then rename it over
-    ``path``: a run that dies mid-write leaves the old file, never a torn one."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def write_manifest(config, command, inputs, outputs):
     manifest = {
         "command": command,
@@ -148,8 +139,8 @@ def write_manifest(config, command, inputs, outputs):
             for path in sorted(outputs, key=str)
         },
     }
-    path = config.workdir / "manifests" / f"{command}.json"
-    _replace_text(path, _json_text(manifest))
+    with replacing(config.workdir / "manifests" / f"{command}.json") as fh:
+        fh.write(_json_text(manifest))
 
 
 def write_run_stats(config, command, backends, **counts):
@@ -166,8 +157,8 @@ def write_run_stats(config, command, backends, **counts):
         "backends": per_role,
         **counts,
     }
-    path = config.workdir / "logs" / f"{command}_stats.json"
-    _replace_text(path, _json_text(payload))
+    with replacing(config.workdir / "logs" / f"{command}_stats.json") as fh:
+        fh.write(_json_text(payload))
 
 
 class Run:
@@ -234,9 +225,10 @@ def cmd_induce(run):
         }
         text_path = config.workdir / "prompts" / f"{subtask}.txt"
         report_path = text_path.with_suffix(".json")
-        text_path.parent.mkdir(parents=True, exist_ok=True)
-        text_path.write_text(winner.text + "\n", encoding="utf-8")
-        report_path.write_text(_json_text(report), encoding="utf-8")
+        with replacing(text_path) as fh:
+            fh.write(winner.text + "\n")
+        with replacing(report_path) as fh:
+            fh.write(_json_text(report))
         outputs += [text_path, report_path]
     return outputs, {}, f"induced prompts for QP and UCoT -> {config.workdir / 'prompts'}"
 
@@ -345,7 +337,8 @@ def cmd_eval(run):
         raise ConfigError("no gold file: pass --gold or set paths.gold in the config")
     report = evaluate(pred, run.read("gold", gold), config.policy)
     report_path = config.workdir / "eval_report.json"
-    report_path.write_text(_json_text(report.to_json()), encoding="utf-8")
+    with replacing(report_path) as fh:
+        fh.write(_json_text(report.to_json()))
     return [report_path], {}, format_report(report)
 
 

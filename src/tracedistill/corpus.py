@@ -15,12 +15,15 @@ Step keys are accepted in any capitalisation ("Statement" == "statement")
 and verification is accepted as a JSON boolean or a "True"/"False" string;
 emission always uses lowercase keys and the string form. SFT exports are
 line-delimited instruction/input/target triples under a `#sft-v1` header
-line.
+line. Every output, stats and manifest file the package writes goes through
+``replacing``, so a write that fails leaves the previous file as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -316,10 +319,29 @@ def seed_to_json(example):
     return out
 
 
-def save_jsonl(path, rows):
+@contextmanager
+def replacing(path, binary=False):
+    """A file open for writing beside ``path`` that is renamed over it on a clean exit.
+
+    The temporary file is ``path`` plus ``.tmp``. A write that raises, or a
+    run that dies mid-write, leaves the old file, never a torn one.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = path.with_name(path.name + ".tmp")
+    done = False
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+        done = True
+    finally:
+        if not done:
+            tmp.unlink(missing_ok=True)
+
+
+def save_jsonl(path, rows):
+    with replacing(path) as fh:
         for row in rows:
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
@@ -374,10 +396,8 @@ def export_sft(records, subtask, path):
     """
     if subtask not in SUBTASKS:
         raise ValueError(f"unknown subtask {subtask!r}; expected one of {SUBTASKS}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(SFT_HEADER + "\n")
         for example in records:
             for row in _sft_rows(example, subtask):

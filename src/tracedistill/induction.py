@@ -65,20 +65,28 @@ def _candidate_messages(candidate_text, example, subtask):
     return [ChatMessage(role="user", content=prompts.render(subtask, candidate_text, [], query))]
 
 
-def generate_candidates(config, seed_examples, backend):
+def _gold_blocks(seed_examples, subtask):
+    """Each seed example's gold block for ``subtask``, rendered once for a whole induction pass."""
+    return [prompts.gold_output(example, subtask) for example in seed_examples]
+
+
+def generate_candidates(config, seed_examples, backend, golds=None):
     """Propose n distinct candidate instruction texts.
 
     Duplicate completions trigger retries over perturbed seed orderings for
     up to RETRY_ROUNDS extra rounds; after that a short list is returned
-    with a warning.
+    with a warning. ``golds`` are the seed examples' gold blocks, rendered
+    here when not given.
     """
     if not seed_examples:
         raise InductionError("seed set must be non-empty")
+    if golds is None:
+        golds = _gold_blocks(seed_examples, config.subtask)
     texts = []
     seen = set()
     attempt = 0
     for round_no in range(RETRY_ROUNDS + 1):
-        ordered = list(seed_examples)
+        ordered = list(zip(seed_examples, golds))
         if round_no:
             random.Random(config.base_seed + round_no).shuffle(ordered)
         prompt_text = prompts.reverse_prompt(config.reverse_prompt, ordered, config.subtask)
@@ -105,20 +113,23 @@ def generate_candidates(config, seed_examples, backend):
     return texts
 
 
-def score_gen(candidate_text, seed_examples, config, backend, reward_backend=None):
+def score_gen(candidate_text, seed_examples, config, backend, reward_backend=None, golds=None):
     """Mean per-example fit of the gold outputs under the candidate.
 
     Returns (score, method) with method "logprob" when the backend scored
     the gold sequences directly and "reward" for the fallback path.
     Per-example scoring fans out; the backend enforces its in-flight bound.
+    ``golds`` are as for ``generate_candidates``.
     """
     if not seed_examples:
         raise InductionError("seed set must be non-empty")
+    if golds is None:
+        golds = _gold_blocks(seed_examples, config.subtask)
     params = GenParams(temperature=config.temperature, max_tokens=config.max_tokens)
 
-    def score_one(example):
+    def score_one(shown):
+        example, gold = shown
         messages = _candidate_messages(candidate_text, example, config.subtask)
-        gold = prompts.gold_output(example, config.subtask)
         try:
             return backend.score_completion(messages, gold), "logprob"
         except CapabilityError:
@@ -126,7 +137,7 @@ def score_gen(candidate_text, seed_examples, config, backend, reward_backend=Non
             generated = backend.generate(messages, params)
             return scorer.reward(messages, generated or gold), "reward"
 
-    results = fan_out(backend, score_one, seed_examples)
+    results = fan_out(backend, score_one, list(zip(seed_examples, golds)))
     scores = [value for value, _ in results]
     method = "reward" if any(m == "reward" for _, m in results) else "logprob"
     return sum(scores) / len(scores), method
@@ -144,16 +155,20 @@ def _parse_verdict(raw):
     return None
 
 
-def score_pref(candidate_texts, seed_examples, config, backend, judge_backend):
+def score_pref(candidate_texts, seed_examples, config, backend, judge_backend, golds=None):
     """Round-robin win counts over all unordered candidate pairs.
 
     Every pair is judged on the same held-out slice; a tie or an
     unparseable verdict credits neither side. Candidate outputs and pair
     judgements fan out concurrently; the tally runs in pair order.
+    ``golds`` are as for ``generate_candidates``.
     """
     if len(candidate_texts) < 2:
         raise InductionError("preference scoring needs at least two candidates")
     held_out = _held_out_slice(seed_examples, config.held_out_fraction)
+    if golds is None:
+        golds = _gold_blocks(seed_examples, config.subtask)
+    gold_blocks = _held_out_slice(golds, config.held_out_fraction)
     params = GenParams(temperature=config.temperature, max_tokens=config.max_tokens)
 
     jobs = [
@@ -171,7 +186,6 @@ def score_pref(candidate_texts, seed_examples, config, backend, judge_backend):
         generated[i * per_candidate : (i + 1) * per_candidate]
         for i in range(len(candidate_texts))
     ]
-    gold_blocks = [prompts.gold_output(ex, config.subtask) for ex in held_out]
     pairs = list(combinations(range(len(candidate_texts)), 2))
 
     def judge(pair):
@@ -222,14 +236,15 @@ def select_prompt(candidates, config):
 
 def induce_prompt(config, seed_examples, backend, judge_backend=None, reward_backend=None):
     """Full induction pass; returns (winner, report dict for the sidecar)."""
-    texts = generate_candidates(config, seed_examples, backend)
+    golds = _gold_blocks(seed_examples, config.subtask)
+    texts = generate_candidates(config, seed_examples, backend, golds)
     candidates = [CandidatePrompt(text=t) for t in texts]
     for cand in candidates:
         cand.s_gen, cand.gen_method = score_gen(
-            cand.text, seed_examples, config, backend, reward_backend
+            cand.text, seed_examples, config, backend, reward_backend, golds
         )
     if len(candidates) >= 2:
-        wins = score_pref(texts, seed_examples, config, backend, judge_backend or backend)
+        wins = score_pref(texts, seed_examples, config, backend, judge_backend or backend, golds)
     else:
         wins = [0] * len(candidates)
     for cand, win in zip(candidates, wins):

@@ -236,12 +236,15 @@ def verifier_query(instance, statements, evidence=None):
     return text
 
 
-def reverse_prompt(instruction, examples, subtask):
-    """Meta-prompt asking for the instruction that maps each input to its gold output."""
+def reverse_prompt(instruction, shown, subtask):
+    """Meta-prompt asking for the instruction that maps each input to its gold output.
+
+    ``shown`` holds (seed example, its gold block for ``subtask``) pairs, in order.
+    """
     parts = [SECTION_INSTRUCTION, instruction.strip(), "", SECTION_EXAMPLES]
-    for example in examples:
+    for example, gold in shown:
         parts += ["", question_block(example.instance, cot=subtask == "UCoT"), "",
-                  "Output:\n" + gold_output(example, subtask)]
+                  "Output:\n" + gold]
     parts += ["", INDUCTION_HEADER]
     return "\n".join(parts)
 

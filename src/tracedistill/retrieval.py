@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .backends import fan_out
+from .corpus import replacing
 
 INDEX_FORMAT = "seed-index-v1"
 UNIT_NORM_TOLERANCE = 1e-6
@@ -119,8 +120,6 @@ def top_k(index, query_text, k, exclude=None):
 
 
 def save_index(index, path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "format": INDEX_FORMAT,
         "dim": int(index.dim),
@@ -129,7 +128,7 @@ def save_index(index, path):
         "ids": index.ids,
         "tags": index.tags,
     }
-    with open(path, "wb") as fh:
+    with replacing(path, binary=True) as fh:
         fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         fh.write(np.ascontiguousarray(index.matrix, dtype="<f8").tobytes())

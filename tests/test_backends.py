@@ -932,3 +932,79 @@ def test_fan_out_cursor_hands_each_item_to_one_worker_under_fast_switching():
     assert got == [item * 3 for item in range(300)]
     assert sorted(ran) == list(range(300))
     assert inner.max_inflight_observed > 1
+
+
+def test_cold_fan_out_over_an_in_process_backend_ends_up_on_one_worker(tmp_path):
+    backend = CachingBackend(MockBackend(), cache_dir=tmp_path, max_inflight=4)
+    ran_on = [None] * 200
+
+    def job(item):
+        ran_on[item] = threading.get_ident()
+        return _ask(backend, item)
+
+    fan_out(backend, job, range(200))
+    assert backend.cache_misses == 200
+    # the first call starts all 8 workers, each runs one item, then one worker runs the rest
+    # (7-8 handoffs); each stray slow call starts them again for about 8 more, and 8 workers
+    # running throughout hand off on most of the 199 item boundaries
+    handoffs = sum(a != b for a, b in zip(ran_on, ran_on[1:]))
+    assert handoffs <= 50
+
+
+def test_fan_out_over_a_1_ms_endpoint_keeps_max_inflight_busy():
+    inner = MockBackend(latency=0.001)
+    backend = CachingBackend(inner, max_inflight=4)
+    assert fan_out(backend, lambda item: _ask(backend, item), range(64)) == [
+        _ask(CachingBackend(MockBackend()), item) for item in range(64)
+    ]
+    assert inner.max_inflight_observed == 4
+
+
+def test_fan_out_grows_back_once_its_endpoint_starts_to_wait():
+    inner = MockBackend()
+    backend = CachingBackend(inner, max_inflight=4)
+
+    def job(item):
+        if item == 200:  # by now one worker runs the items
+            inner.latency = 0.02
+            inner.max_inflight_observed = 0
+        return _ask(backend, item)
+
+    fan_out(backend, job, range(300))
+    assert inner.max_inflight_observed == 4
+
+
+def test_a_finished_call_gives_back_its_slot_while_another_thread_runs_a_statement(tmp_path):
+    class BlockingConnection:
+        def __init__(self):
+            self.entered = threading.Event()
+            self.release = threading.Event()
+
+        def execute(self, sql, args):
+            self.entered.set()
+            self.release.wait(timeout=10)
+            return self
+
+        def fetchone(self):
+            return None
+
+    backend = CachingBackend(MockBackend(), cache_dir=tmp_path, max_inflight=2)
+    backend._db = db = BlockingConnection()
+    statement = threading.Thread(target=backend._execute, args=("SELECT 1", ()))
+    statement.start()
+    try:
+        assert db.entered.wait(timeout=10)
+
+        def use_a_slot():
+            with backend._slot():
+                pass
+
+        slot = threading.Thread(target=use_a_slot)
+        slot.start()
+        slot.join(timeout=5)
+        assert not slot.is_alive()
+        assert backend._inflight == 0
+    finally:
+        db.release.set()
+        statement.join(timeout=10)
+    assert backend.peak_inflight == 1

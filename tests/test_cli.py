@@ -808,9 +808,8 @@ def test_commands_close_their_cache_connections(tmp_path):
 
 def test_each_seed_gold_block_is_rendered_once_per_command(tmp_path, monkeypatch):
     config = make_config(tmp_path)
-    assert main(["induce", "--config", str(config)]) == 0
     render = prompts.gold_output
-    for command in ("synthesize", "filter", "infer"):
+    for command in ("induce", "synthesize", "filter", "infer"):
         rendered = Counter()
 
         def counting(example, subtask):

@@ -208,3 +208,18 @@ def test_compute_stats_is_pure():
     before = compute_stats([trace])
     after = compute_stats([trace])
     assert before == after == DatasetStats(1, 1, 1, 0)
+
+
+def test_save_jsonl_that_fails_partway_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    save_jsonl(path, [{"n": 1}, {"n": 2}])
+    before = path.read_bytes()
+
+    def rows():
+        yield {"n": 3}
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        save_jsonl(path, rows())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]

@@ -5,6 +5,8 @@ Imports sit at module level, never inside a function body, and only
 errors it expects, so an unexpected one reaches ``main`` with its own type
 and exit code. Only ``backends.fan_out`` builds a thread pool or thread,
 and only ``CachingBackend.__init__`` builds a semaphore. Only
+``CachingBackend._call`` tells a fan-out that a call reaches an endpoint
+and how that call spent its time, so the worker count follows one rule. Only
 ``cli.run_command`` opens a run's backends and writes its stats file and
 manifest, and only ``cli.Run.read`` raises ``MissingArtifactError``.
 """
@@ -164,6 +166,31 @@ def test_detector_finds_semaphore_constructions_by_method():
 def test_only_caching_backend_builds_semaphores():
     """``max_inflight`` stays the one in-flight cap: the only semaphore is ``CachingBackend``'s."""
     assert constructions_outside(SEMAPHORES, ("backends.py", "CachingBackend.__init__")) == {}
+
+
+FAN_OUT_HOOKS = {"reaching_endpoint", "endpoint_answered"}
+
+
+def test_detector_finds_fan_out_hook_calls_by_method():
+    source = (
+        "class CachingBackend:\n"
+        "    def _call(self):\n"
+        "        reaching_endpoint()\n"
+        "        backends.endpoint_answered(0.1, 0.0)\n"
+        "def job(item):\n"
+        "    reaching_endpoint\n"
+        "    return endpoint_answered(1.0, 1.0)\n"
+    )
+    assert constructions(source, FAN_OUT_HOOKS) == [
+        ("CachingBackend._call", 3),
+        ("CachingBackend._call", 4),
+        ("job", 7),
+    ]
+
+
+def test_only_caching_backend_call_feeds_the_fan_out_hooks():
+    """The fan-out's worker count follows what endpoint calls do, as ``_call`` alone reports it."""
+    assert constructions_outside(FAN_OUT_HOOKS, ("backends.py", "CachingBackend._call")) == {}
 
 
 RUN_RECORDS = {"open_backends", "write_run_stats", "write_manifest"}
