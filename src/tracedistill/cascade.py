@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from . import prompts
 from .backends import BackendError, ChatMessage, GenParams, fan_out
-from .corpus import SchemaError, canonicalize_verification, save_jsonl, verification_str
+from .corpus import CoTStep, SchemaError, canonicalize_verification, save_jsonl, step_to_json
 from .prompts import demo_pairs_full
 from .retrieval import top_k
 from .synthesis import extract_json
@@ -64,14 +64,20 @@ class StageResult:
     finished: float = 0.0
 
 
+def _skipped():
+    """A stage that did not run: failed, and zero seconds long."""
+    now = time.monotonic()
+    return StageResult(failed=True, started=now, finished=now)
+
+
 @dataclass
 class CascadeOutput:
     instance_id: str
-    qp: list[str]
-    statements: list[str]
-    evidence: list[str]
-    verdicts: list[bool]
     stages: dict[str, StageResult]
+    qp: list[str] = field(default_factory=list)
+    statements: list[str] = field(default_factory=list)
+    evidence: list[str] = field(default_factory=list)
+    verdicts: list[bool] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
     error: str = ""
 
@@ -166,12 +172,8 @@ def verify_steps(instance, statements, evidence, demos, backend, params):
 
     Unparseable or missing verdicts default to False and are flagged.
     """
-    if len(statements) != len(evidence):
-        raise CascadeError("statements and evidence must be aligned")
-    if not statements:
-        stage = StageResult(started=time.monotonic())
-        stage.finished = stage.started
-        return [], stage, []
+    if not statements or len(statements) != len(evidence):
+        raise CascadeError("verify_steps requires at least one statement, aligned with evidence")
     query = prompts.verifier_query(instance, statements, evidence)
     values, stage = run_stage(
         "CV_verify", prompts.CV_VERIFY_INSTRUCTION, query, demos, backend, params
@@ -211,15 +213,9 @@ class CascadePipeline:
             return self._run(instance)
         except BackendError as exc:
             log.warning("cascade failed for %s: %s", instance.id, exc)
-            now = time.monotonic()
-            failed = {name: StageResult(failed=True, started=now, finished=now) for name in STAGES}
             return CascadeOutput(
                 instance_id=instance.id,
-                qp=[],
-                statements=[],
-                evidence=[],
-                verdicts=[],
-                stages=failed,
+                stages={name: _skipped() for name in STAGES},
                 flags=[BACKEND_FAILED],
                 error=str(exc),
             )
@@ -253,10 +249,8 @@ class CascadePipeline:
             if vf_stage.failed:
                 flags.append("verify_failed")
         else:
-            now = time.monotonic()
             evidence, verdicts = [], []
-            ev_stage = StageResult(started=now, finished=now, failed=True)
-            vf_stage = StageResult(started=now, finished=now, failed=True)
+            ev_stage, vf_stage = _skipped(), _skipped()
             flags.append("no_statements")
 
         return CascadeOutput(
@@ -286,11 +280,7 @@ def output_to_prediction(output):
         "id": output.instance_id,
         "question_parsing": list(output.qp),
         "cot_parsing": [
-            {
-                "statement": statement,
-                "evidence": evidence,
-                "verification": verification_str(verdict),
-            }
+            step_to_json(CoTStep(statement, evidence, verdict))
             for statement, evidence, verdict in zip(
                 output.statements, output.evidence, output.verdicts
             )

@@ -45,11 +45,12 @@ class EmptyDatasetError(DatasetError):
 class SchemaError(DatasetError):
     """A record violated the dataset schema.
 
-    Carries the field path (e.g. "steps[1].evidence") and, when known, the
-    line number of the offending record.
+    Carries the bare message, the field path (e.g. "steps[1].evidence") and,
+    when known, the line number of the offending record.
     """
 
     def __init__(self, message, path="", line=None, record=None):
+        self.message = message
         self.path = path
         self.line = line
         self.record = record
@@ -65,12 +66,7 @@ class SchemaError(DatasetError):
         super().__init__(full)
 
     def at(self, line=None, record=None):
-        return SchemaError(
-            self.args[0].split(": ", 1)[-1] if self.path else self.args[0],
-            path=self.path,
-            line=line,
-            record=record,
-        )
+        return SchemaError(self.message, path=self.path, line=line, record=record)
 
 
 @dataclass
@@ -168,7 +164,7 @@ def parse_step(obj, path):
     try:
         verification = canonicalize_verification(fields["verification"])
     except SchemaError as exc:
-        raise SchemaError(str(exc).split(": ", 1)[-1], path=f"{path}.verification") from None
+        raise SchemaError(exc.message, path=f"{path}.verification") from None
     return CoTStep(statement=statement, evidence=evidence, verification=verification)
 
 

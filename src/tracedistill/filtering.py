@@ -70,24 +70,16 @@ class FilterOutcome:
 def structural_filter(record):
     """Keep a record iff it parsed cleanly with >=2 steps and non-empty QP."""
     if record.parse_status != STATUS_OK:
-        return FilterOutcome(
-            record_id=record.instance.id,
-            stage=STAGE_STRUCTURAL,
-            decision="drop",
-            reason=record.parse_status,
-        )
-    if not record.qp:
-        return FilterOutcome(
-            record_id=record.instance.id,
-            stage=STAGE_STRUCTURAL,
-            decision="drop",
-            reason=REASON_EMPTY_QP,
-        )
+        decision, reason = "drop", record.parse_status
+    elif not record.qp:
+        decision, reason = "drop", REASON_EMPTY_QP
+    else:
+        decision, reason = "keep", REASON_KEPT
     return FilterOutcome(
         record_id=record.instance.id,
         stage=STAGE_STRUCTURAL,
-        decision="keep",
-        reason=REASON_KEPT,
+        decision=decision,
+        reason=reason,
     )
 
 

@@ -65,23 +65,15 @@ def _candidate_messages(candidate_text, example, subtask):
     return [ChatMessage(role="user", content=prompts.render(subtask, candidate_text, [], query))]
 
 
-def _gold_blocks(seed_examples, subtask):
-    """Each seed example's gold block for ``subtask``, rendered once for a whole induction pass."""
-    return [prompts.gold_output(example, subtask) for example in seed_examples]
-
-
-def generate_candidates(config, seed_examples, backend, golds=None):
+def generate_candidates(config, seed_examples, golds, backend):
     """Propose n distinct candidate instruction texts.
 
     Duplicate completions trigger retries over perturbed seed orderings for
     up to RETRY_ROUNDS extra rounds; after that a short list is returned
-    with a warning. ``golds`` are the seed examples' gold blocks, rendered
-    here when not given.
+    with a warning. ``golds`` are the seed examples' gold blocks.
     """
     if not seed_examples:
         raise InductionError("seed set must be non-empty")
-    if golds is None:
-        golds = _gold_blocks(seed_examples, config.subtask)
     texts = []
     seen = set()
     attempt = 0
@@ -113,7 +105,7 @@ def generate_candidates(config, seed_examples, backend, golds=None):
     return texts
 
 
-def score_gen(candidate_text, seed_examples, config, backend, reward_backend=None, golds=None):
+def score_gen(candidate_text, seed_examples, golds, config, backend, reward_backend=None):
     """Mean per-example fit of the gold outputs under the candidate.
 
     Returns (score, method) with method "logprob" when the backend scored
@@ -123,8 +115,6 @@ def score_gen(candidate_text, seed_examples, config, backend, reward_backend=Non
     """
     if not seed_examples:
         raise InductionError("seed set must be non-empty")
-    if golds is None:
-        golds = _gold_blocks(seed_examples, config.subtask)
     params = GenParams(temperature=config.temperature, max_tokens=config.max_tokens)
 
     def score_one(shown):
@@ -155,7 +145,7 @@ def _parse_verdict(raw):
     return None
 
 
-def score_pref(candidate_texts, seed_examples, config, backend, judge_backend, golds=None):
+def score_pref(candidate_texts, seed_examples, golds, config, backend, judge_backend):
     """Round-robin win counts over all unordered candidate pairs.
 
     Every pair is judged on the same held-out slice; a tie or an
@@ -166,8 +156,6 @@ def score_pref(candidate_texts, seed_examples, config, backend, judge_backend, g
     if len(candidate_texts) < 2:
         raise InductionError("preference scoring needs at least two candidates")
     held_out = _held_out_slice(seed_examples, config.held_out_fraction)
-    if golds is None:
-        golds = _gold_blocks(seed_examples, config.subtask)
     gold_blocks = _held_out_slice(golds, config.held_out_fraction)
     params = GenParams(temperature=config.temperature, max_tokens=config.max_tokens)
 
@@ -236,15 +224,15 @@ def select_prompt(candidates, config):
 
 def induce_prompt(config, seed_examples, backend, judge_backend=None, reward_backend=None):
     """Full induction pass; returns (winner, report dict for the sidecar)."""
-    golds = _gold_blocks(seed_examples, config.subtask)
-    texts = generate_candidates(config, seed_examples, backend, golds)
+    golds = [prompts.gold_output(example, config.subtask) for example in seed_examples]
+    texts = generate_candidates(config, seed_examples, golds, backend)
     candidates = [CandidatePrompt(text=t) for t in texts]
     for cand in candidates:
         cand.s_gen, cand.gen_method = score_gen(
-            cand.text, seed_examples, config, backend, reward_backend, golds
+            cand.text, seed_examples, golds, config, backend, reward_backend
         )
     if len(candidates) >= 2:
-        wins = score_pref(texts, seed_examples, config, backend, judge_backend or backend, golds)
+        wins = score_pref(texts, seed_examples, golds, config, backend, judge_backend or backend)
     else:
         wins = [0] * len(candidates)
     for cand, win in zip(candidates, wins):

@@ -104,24 +104,30 @@ def extract_json(raw):
     return best[0], best[1]
 
 
-def parse_qp(raw):
-    """Parse a question-parsing completion into a condition list."""
+def _parse_array(raw, code, keys, expected, parse):
+    """Parse the completion's JSON array, unwrapped from the first of ``keys`` a dict holds."""
     found = extract_json(raw)
     if found is None:
-        return ParseFailure(STATUS_QP_MALFORMED, 0, "no JSON value found")
+        return ParseFailure(code, 0, "no JSON value found")
     value, start = found
     if isinstance(value, dict):
-        value = _index_keys(value).get("question_parsing")
-    if not isinstance(value, list):
-        return ParseFailure(
-            STATUS_QP_MALFORMED,
-            _byte_offset(raw, start),
-            "expected a JSON array of condition strings",
-        )
-    try:
-        return parse_question_parsing(value)
-    except SchemaError as exc:
-        return ParseFailure(STATUS_QP_MALFORMED, _byte_offset(raw, start), str(exc))
+        keyed = _index_keys(value)
+        value = next((keyed[key] for key in keys if key in keyed), None)
+    message = expected
+    if isinstance(value, list):
+        try:
+            return parse(value)
+        except SchemaError as exc:
+            message = str(exc)
+    return ParseFailure(code, _byte_offset(raw, start), message)
+
+
+def parse_qp(raw):
+    """Parse a question-parsing completion into a condition list."""
+    return _parse_array(
+        raw, STATUS_QP_MALFORMED, ("question_parsing",),
+        "expected a JSON array of condition strings", parse_question_parsing,
+    )
 
 
 def parse_ucot(raw):
@@ -131,23 +137,10 @@ def parse_ucot(raw):
     "cot_steps"/"cot_parsing". Step keys are case-tolerant; verification is
     canonicalized. Failures carry the byte offset of the extracted value.
     """
-    found = extract_json(raw)
-    if found is None:
-        return ParseFailure(STATUS_UCOT_MALFORMED, 0, "no JSON value found")
-    value, start = found
-    if isinstance(value, dict):
-        keyed = _index_keys(value)
-        value = keyed.get("cot_steps", keyed.get("cot_parsing"))
-    if not isinstance(value, list):
-        return ParseFailure(
-            STATUS_UCOT_MALFORMED,
-            _byte_offset(raw, start),
-            "expected a JSON array of step objects",
-        )
-    try:
-        return parse_trace(value)
-    except SchemaError as exc:
-        return ParseFailure(STATUS_UCOT_MALFORMED, _byte_offset(raw, start), str(exc))
+    return _parse_array(
+        raw, STATUS_UCOT_MALFORMED, ("cot_steps", "cot_parsing"),
+        "expected a JSON array of step objects", parse_trace,
+    )
 
 
 def resolve_status(qp, trace):

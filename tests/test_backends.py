@@ -620,7 +620,7 @@ def test_http_null_chat_content_is_backend_error_and_not_cached(tmp_path):
     assert cached_rows(tmp_path) == []
 
 
-@pytest.mark.parametrize("embedding", [None, [1.0, float("nan")], []])
+@pytest.mark.parametrize("embedding", [None, [1.0, float("nan")], [], [0.0, 0.0]])
 def test_http_non_finite_embedding_is_backend_error_and_not_cached(tmp_path, embedding):
     profile = BackendProfile(kind="http", endpoint="https://example.test/v1", model="remote")
     calls = []
@@ -676,6 +676,32 @@ def test_http_reward_parses_content_float():
         profile, transport=lambda url, payload: {"choices": [{"message": {"content": "1.5"}}]}
     )
     assert backend.reward(_user("ctx"), "resp") == 1.5
+
+
+def test_http_embedding_comes_back_l2_normalised():
+    profile = BackendProfile(kind="http", endpoint="https://example.test/v1", model="remote")
+    backend = HttpBackend(profile, transport=lambda url, payload: {"data": [{"embedding": [3, 4]}]})
+    assert backend.embed("a question").tolist() == pytest.approx([0.6, 0.8])
+
+
+@pytest.mark.parametrize(
+    "call, response, message",
+    [
+        ("generate", {"id": "chat-1"}, "malformed chat response"),
+        ("embed", {"object": "list"}, "malformed embeddings response"),
+        ("reward", {"id": "rm-1"}, "no reward score"),
+    ],
+)
+def test_http_response_missing_its_payload_is_backend_error(call, response, message):
+    profile = BackendProfile(kind="http", endpoint="https://example.test/v1", model="remote")
+    backend = HttpBackend(profile, transport=lambda url, payload: response)
+    calls = {
+        "generate": lambda: backend.generate(_user("hi"), PARAMS),
+        "embed": lambda: backend.embed("a question"),
+        "reward": lambda: backend.reward(_user("ctx"), "resp"),
+    }
+    with pytest.raises(BackendError, match=message):
+        calls[call]()
 
 
 def test_requests_transport_requires_auth_token(monkeypatch):
@@ -910,7 +936,8 @@ def test_fan_out_keeps_no_item_alive_once_it_returns(tmp_path, cached):
 
 
 def test_fan_out_cursor_hands_each_item_to_one_worker_under_fast_switching():
-    inner = MockBackend()
+    # a few ms per call keeps several calls in flight at once, whatever else shares the CPUs
+    inner = MockBackend(latency=0.005)
     backend = CachingBackend(inner, max_inflight=8)
     ran = []
     got = []

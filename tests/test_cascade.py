@@ -18,7 +18,9 @@ from tracedistill.cascade import (
     CascadePipeline,
     decompose_cot,
     demo_pairs_full,
+    extract_evidence,
     output_to_prediction,
+    verify_steps,
     write_predictions,
 )
 from tracedistill.retrieval import build_index, top_k
@@ -136,6 +138,26 @@ def test_verdict_array_missing_entries_flagged_false():
     assert "verdict_defaulted:4" in output.flags
 
 
+def test_unparseable_verifier_answers_flag_both_verifier_stages():
+    script = dict(_gold_script())
+    script[prompts.OUTPUT_HEADERS["CV_evidence"]] = "I cannot find any evidence."
+    script[prompts.OUTPUT_HEADERS["CV_verify"]] = "Every statement looks fine to me."
+    pipeline, _ = _pipeline(script=script)
+    output = pipeline.run(gold_instance("test-1"))
+    assert output.statements == GOLD_STATEMENTS
+    assert output.evidence == [""] * 4
+    assert output.verdicts == [False] * 4
+    assert output.flags == (
+        [f"evidence_missing:{slot}" for slot in range(1, 5)]
+        + ["evidence_failed"]
+        + [f"verdict_defaulted:{slot}" for slot in range(1, 5)]
+        + ["verify_failed"]
+    )
+    assert output.stages["evidence"].failed and output.stages["verify"].failed
+    assert len(output.stages["evidence"].raw) == 2
+    assert len(output.stages["verify"].raw) == 1
+
+
 def test_alignment_invariant_holds_on_failures():
     script = dict(_gold_script())
     script[prompts.OUTPUT_HEADERS["CP"]] = "no structure here"
@@ -219,6 +241,14 @@ def test_decompose_cot_direct_precondition():
     instance.cot = "   "
     with pytest.raises(CascadeError):
         decompose_cot(instance, demos, MockBackend(), GenParams())
+
+
+def test_verifier_stages_require_statements():
+    instance, backend, params = gold_instance("x"), MockBackend(), GenParams()
+    with pytest.raises(CascadeError):
+        extract_evidence(instance, [], [], backend, params)
+    with pytest.raises(CascadeError):
+        verify_steps(instance, [], [], [], backend, params)
 
 
 def test_hostile_nesting_is_flagged_not_fatal():

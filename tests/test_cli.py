@@ -512,26 +512,32 @@ def test_null_chat_completion_is_a_backend_failure_and_never_cached(
     assert all(isinstance(row, bytes) for row in embedded)
 
 
-def test_null_completion_for_one_question_flags_only_that_question(
-    tmp_path, capsys, caplog, monkeypatch
-):
+def _null_completion_for(marker, tmp_path, monkeypatch):
+    """A config whose generation endpoint answers as the mock does, but with null
+    content for every prompt that contains ``marker``."""
     mock = backends_module.MockBackend(model="remote")
 
     def transport(url, payload):
         messages = [backends_module.ChatMessage(**m) for m in payload["messages"]]
         content = None
-        if "Puzzle pool-03:" not in messages[-1].content:
+        if marker not in messages[-1].content:
             params = backends_module.GenParams(payload["temperature"], payload["max_tokens"])
             content = mock.generate(messages, params)
         return {"choices": [{"message": {"role": "assistant", "content": content}}]}
 
     monkeypatch.setattr(backends_module, "RequestsTransport", lambda *args: transport)
-    config = make_config(
+    return make_config(
         tmp_path,
         backend_overrides={
             "generation": {"kind": "http", "model": "remote", "endpoint": "https://gen.test/v1"}
         },
     )
+
+
+def test_null_completion_for_one_question_flags_only_that_question(
+    tmp_path, capsys, caplog, monkeypatch
+):
+    config = _null_completion_for("Puzzle pool-03:", tmp_path, monkeypatch)
     with caplog.at_level("WARNING", logger="tracedistill.cascade"):
         assert main(["infer", "--config", str(config)]) == 0
     warnings = [r for r in caplog.records if r.name == "tracedistill.cascade"]
@@ -547,6 +553,21 @@ def test_null_completion_for_one_question_flags_only_that_question(
     assert all(row["question_parsing"] and row["cot_parsing"] for row in predictions.values())
     stats = json.loads((tmp_path / "work" / "logs" / "infer_stats.json").read_text())
     assert stats["backend_failed"] == 1
+
+
+def test_null_completion_for_one_question_skips_only_that_record_in_synthesize(
+    tmp_path, monkeypatch
+):
+    config = _null_completion_for("Puzzle pool-03:", tmp_path, monkeypatch)
+    workdir = tmp_path / "work"
+    assert main(["induce", "--config", str(config)]) == 0
+    assert main(["synthesize", "--config", str(config)]) == 0
+    written = [r["id"] for r in _read_jsonl(workdir / "synthesized.jsonl")]
+    assert written == [f"pool-{i:02d}" for i in range(6) if i != 3]
+    errors = _read_jsonl(workdir / "logs" / "synthesize_errors.jsonl")
+    assert [sorted(e) for e in errors] == [["error", "id"]]
+    assert errors[0]["id"] == "pool-03"
+    assert errors[0]["error"].startswith("malformed chat response")
 
 
 @pytest.mark.parametrize("role", ["verifier_verify", "verifer"])

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import gold_record_dict, write_jsonl
 from tracedistill.evalharness import (
+    EXHAUSTIVE_LIMIT,
     EvalError,
     MatchPolicy,
     _pair_tuple,
@@ -184,6 +185,22 @@ def test_token_mode_equals_oracle_small_lists():
         pred = _steps(*[(sentence(), sentence(), rng.random() < 0.5) for _ in range(rng.randint(0, 4))])
         gold = _steps(*[(sentence(), sentence(), rng.random() < 0.5) for _ in range(rng.randint(0, 4))])
         assert match_steps(pred, gold, TOKEN) == oracle_counts(pred, gold, TOKEN)
+
+
+def test_token_mode_past_exhaustive_limit_matches_greedily():
+    # pred 0 ("a b c d") matches gold 0 and gold 1 fully, pred 1 ("a c x y") only gold 0:
+    # the greedy pass takes (0, 0) first and leaves pred 1 and gold 1 unmatched,
+    # where the exhaustive assignment would pair (0, 1) and (1, 0)
+    gold = _steps(("a b c", "e shared", True), ("a b d", "e shared", True))
+    pred = _steps(("a b c d", "e shared", True), ("a c x y", "e shared", True))
+    for i in range(2, 13):
+        statement = f"s{i}a s{i}b s{i}c"
+        gold.append((statement, f"ev{i} text", True))
+        # evidence agrees on steps 2-8 and differs on 9-12; steps 2-3 flip the verdict
+        pred.append((statement, f"ev{i} text" if i <= 8 else f"other{i}", i > 3))
+    assert len(pred) == len(gold) == EXHAUSTIVE_LIMIT + 1
+    # statements: 1 + 11; evidence: 1 + 7 (steps 2-8); reasoning: 1 + 5 (steps 4-8)
+    assert match_steps(pred, gold, TOKEN) == (12, 8, 6)
 
 
 def test_monotonicity_on_randomized_fixtures():

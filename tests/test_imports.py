@@ -9,6 +9,10 @@ and only ``CachingBackend.__init__`` builds a semaphore. Only
 and how that call spent its time, so the worker count follows one rule. Only
 ``cli.run_command`` opens a run's backends and writes its stats file and
 manifest, and only ``cli.Run.read`` raises ``MissingArtifactError``.
+Every module-level function and class is named somewhere in the package
+outside its own definition, so no production helper serves only tests;
+``retrieval.load_index`` is the one exception, kept while the benchmark
+tracer still names it.
 """
 
 import ast
@@ -231,3 +235,54 @@ def test_only_run_read_raises_missing_artifact():
     """Every upstream artifact is declared through ``Run.read``, the one place its check sits."""
     allowed = ("cli.py", "Run.read")
     assert constructions_outside({"MissingArtifactError"}, allowed, find=raises) == {}
+
+
+def unreferenced_definitions(sources):
+    """``module.name`` of each module-level function or class that nothing in ``sources``
+    names (as a bare name or an attribute) outside its own definition.
+
+    ``sources`` maps module name to source text. An import alone does not count.
+    """
+    named = []  # (module, top-level statement index, names used in that statement)
+    definitions = []
+    for module, source in sources.items():
+        for position, statement in enumerate(ast.parse(source).body):
+            used = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+            named.append((module, position, used))
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((module, position, statement.name))
+    return [
+        f"{module}.{name}"
+        for module, position, name in definitions
+        if not any(
+            name in used and (other, where) != (module, position)
+            for other, where, used in named
+        )
+    ]
+
+
+def test_detector_finds_unreferenced_definitions():
+    sources = {
+        "a": (
+            "def used():\n    pass\n"
+            "def unused():\n    return unused()\n"
+            "class Thing:\n    pass\n"
+            "def also_used():\n    return used()\n"
+        ),
+        "b": "from a import also_used, unused\nalso_used()\nx = a.Thing\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.unused"]
+
+
+# retrieval.load_index goes once bench/tracer.py no longer names it
+ONLY_TESTS_CALL = ["retrieval.load_index"]
+
+
+def test_no_production_helper_that_only_tests_call():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_definitions(sources) == ONLY_TESTS_CALL

@@ -26,13 +26,17 @@ def _config(**overrides):
     return InductionConfig(**base)
 
 
+def _golds(seeds, subtask="QP"):
+    return [prompts.gold_output(example, subtask) for example in seeds]
+
+
 def test_config_rejects_unknown_subtask():
     with pytest.raises(InductionError):
         _config(subtask="CV")
 
 
 def test_generate_candidates_distinct_texts():
-    texts = generate_candidates(_config(), SEED, CachingBackend(MockBackend()))
+    texts = generate_candidates(_config(), SEED, _golds(SEED), CachingBackend(MockBackend()))
     assert len(texts) == 4
     assert len(set(texts)) == 4
 
@@ -40,7 +44,7 @@ def test_generate_candidates_distinct_texts():
 def test_generate_candidates_dedupes_injected_duplicates():
     inner = MockBackend(queue=["prompt A", "prompt A", "prompt B", "prompt C"])
     backend = CachingBackend(inner)
-    texts = generate_candidates(_config(n_candidates=3), SEED, backend)
+    texts = generate_candidates(_config(n_candidates=3), SEED, _golds(SEED), backend)
     assert texts == ["prompt A", "prompt B", "prompt C"]
     assert inner.calls["generate"] == 4
 
@@ -49,7 +53,7 @@ def test_generate_candidates_warns_when_rounds_exhausted(caplog):
     inner = MockBackend(queue=["same"] * 40)
     backend = CachingBackend(inner)
     with caplog.at_level("WARNING"):
-        texts = generate_candidates(_config(n_candidates=3), SEED, backend)
+        texts = generate_candidates(_config(n_candidates=3), SEED, _golds(SEED), backend)
     assert texts == ["same"]
     assert any("distinct candidate prompts" in r.message for r in caplog.records)
 
@@ -59,7 +63,7 @@ def test_score_gen_single_example_equals_direct_score():
     config = _config()
     candidate = "Extract the key conditions as a JSON array."
     seed = SEED[:1]
-    value, method = score_gen(candidate, seed, config, backend)
+    value, method = score_gen(candidate, seed, _golds(seed), config, backend)
     query = f"Question:\n{seed[0].instance.question}\n" + "\n".join(
         f"{label}. {text}" for label, text in zip("ABCD", seed[0].instance.options)
     )
@@ -73,9 +77,9 @@ def test_score_gen_two_examples_is_arithmetic_mean():
     backend = CachingBackend(MockBackend())
     config = _config()
     candidate = "Extract the key conditions as a JSON array."
-    one, _ = score_gen(candidate, SEED[:1], config, backend)
-    other, _ = score_gen(candidate, SEED[1:2], config, backend)
-    both, _ = score_gen(candidate, SEED[:2], config, backend)
+    one, _ = score_gen(candidate, SEED[:1], _golds(SEED[:1]), config, backend)
+    other, _ = score_gen(candidate, SEED[1:2], _golds(SEED[1:2]), config, backend)
+    both, _ = score_gen(candidate, SEED[:2], _golds(SEED[:2]), config, backend)
     assert both == pytest.approx((one + other) / 2)
 
 
@@ -96,21 +100,22 @@ class _GenerateOnly(Backend):
 
 def test_score_gen_falls_back_to_reward_and_records_it():
     backend = _GenerateOnly()
-    value, method = score_gen("Candidate instruction.", SEED[:2], _config(), backend)
+    seed = SEED[:2]
+    value, method = score_gen("Candidate instruction.", seed, _golds(seed), _config(), backend)
     assert method == "reward"
     assert isinstance(value, float)
 
 
 def test_score_pref_two_candidates_judge_prefers_a():
     judge = MockBackend(queue=["A"])
-    wins = score_pref(["alpha", "beta"], SEED, _config(n_candidates=2),
+    wins = score_pref(["alpha", "beta"], SEED, _golds(SEED), _config(n_candidates=2),
                       CachingBackend(MockBackend()), judge)
     assert wins == [1, 0]
 
 
 def test_score_pref_all_ties_gives_zeros():
     judge = MockBackend(queue=["tie", "tie", "tie"])
-    wins = score_pref(["a", "b", "c"], SEED, _config(n_candidates=3),
+    wins = score_pref(["a", "b", "c"], SEED, _golds(SEED), _config(n_candidates=3),
                       CachingBackend(MockBackend()), judge)
     assert wins == [0, 0, 0]
 
@@ -120,7 +125,7 @@ def test_score_pref_scripted_tournament_tally():
     # judge has no max_inflight, so fan_out judges the pairs one at a time
     # and the FIFO judge script stays aligned with that order
     judge = MockBackend(queue=["A", "B", "A", "tie", "B", "A"])
-    wins = score_pref(["c0", "c1", "c2", "c3"], SEED, _config(),
+    wins = score_pref(["c0", "c1", "c2", "c3"], SEED, _golds(SEED), _config(),
                       CachingBackend(MockBackend()), judge)
     assert wins == [2, 0, 2, 1]
     assert sum(wins) == 5  # 6 pairs, one tie
@@ -129,7 +134,7 @@ def test_score_pref_scripted_tournament_tally():
 def test_score_pref_win_total_bounded_by_pair_count():
     judge = MockBackend(seed=11)
     candidates = ["c0", "c1", "c2", "c3", "c4"]
-    wins = score_pref(candidates, SEED, _config(n_candidates=5),
+    wins = score_pref(candidates, SEED, _golds(SEED), _config(n_candidates=5),
                       CachingBackend(MockBackend()), judge)
     assert sum(wins) <= len(candidates) * (len(candidates) - 1) // 2
 
@@ -137,7 +142,7 @@ def test_score_pref_win_total_bounded_by_pair_count():
 def test_score_pref_unparseable_verdict_counts_as_tie(caplog):
     judge = MockBackend(queue=["I prefer the first one, clearly."])
     with caplog.at_level("WARNING"):
-        wins = score_pref(["a", "b"], SEED, _config(n_candidates=2),
+        wins = score_pref(["a", "b"], SEED, _golds(SEED), _config(n_candidates=2),
                           CachingBackend(MockBackend()), judge)
     assert wins == [0, 0]
     assert any("unparseable judge verdict" in r.message for r in caplog.records)

@@ -25,6 +25,7 @@ from tracedistill.cascade import (
 from tracedistill.corpus import export_sft
 from tracedistill.filtering import score_record
 from tracedistill.induction import InductionConfig, generate_candidates, score_gen, score_pref
+from tracedistill.prompts import gold_output
 from tracedistill.retrieval import RetrievalHit, SeedIndex
 from tracedistill.synthesis import SynthesizedRecord, synthesize
 
@@ -136,15 +137,17 @@ def _render_cascade_stage(seeds, stage):
 def _render_induction(seeds, subtask):
     config = InductionConfig(subtask=subtask, n_candidates=2)
     backend = Recorder()
-    generate_candidates(config, seeds, backend)
-    score_gen("Candidate instruction text.", seeds, config, backend)
+    golds = [gold_output(example, subtask) for example in seeds]
+    generate_candidates(config, seeds, golds, backend)
+    score_gen("Candidate instruction text.", seeds, golds, config, backend)
     return backend.requests
 
 
 def _render_judge(seeds):
     config = InductionConfig(subtask="QP", n_candidates=2)
     judge = Recorder(["A"])
-    score_pref(["First candidate.", "Second candidate."], seeds, config, MockBackend(), judge)
+    golds = [gold_output(example, "QP") for example in seeds]
+    score_pref(["First candidate.", "Second candidate."], seeds, golds, config, MockBackend(), judge)
     return judge.requests
 
 
