@@ -7,6 +7,8 @@ Three implementations share one call surface:
   payload) via sha256.
 * ``HttpBackend``: OpenAI-compatible chat-completions/embeddings client
   with bearer-token auth; tests inject a transport instead of the network.
+  It counts the requests it sends per operation in ``calls``, as
+  ``MockBackend`` counts the calls it answers.
 * ``CachingBackend``: wraps either of the above with an on-disk result
   cache (one SQLite file per cache dir, no in-memory copy; each call keyed
   by a sha256 over its raw UTF-8 fields, each result kept as text or
@@ -30,6 +32,14 @@ Mock response scheme (tests rely on this being stable):
 * ``embed`` expands sha256 blocks into ``embed_dim`` floats in [-1, 1],
   then L2-normalizes.
 * ``reward`` maps a hash of (context, response) into [-2.0, 4.0).
+
+``requests`` is not imported with this module: ``RequestsTransport``
+imports it, and builds its session, when its first request is sent. That
+is the one function-local import in the package. Start-up is the largest
+cost of a small or fully cached command, and the HTTP stack (``requests``,
+``urllib3``, ``charset_normalizer``, ``idna``, ``certifi``, ``ssl``) is
+about a third of it, while a mock run, ``export``, ``eval``, ``stats`` or
+a rerun that the cache answers in full never sends a request.
 """
 
 from __future__ import annotations
@@ -50,7 +60,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from . import prompts
 
@@ -87,6 +96,14 @@ class ConfigError(Exception):
 
 class CacheError(Exception):
     """The call cache file cannot be opened, read or written as a SQLite store."""
+
+
+def is_finite_number(value):
+    """Whether ``value`` is a finite number other than a bool."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -134,12 +151,24 @@ class BackendProfile:
     timeout: float = 60.0
 
     def __post_init__(self):
+        for key in ("kind", "model", "endpoint", "auth_env"):
+            value = getattr(self, key)
+            if not isinstance(value, str):
+                raise ConfigError(f"{key} must be a string, got {value!r}")
+        if self.cache_dir is not None and not isinstance(self.cache_dir, str):
+            raise ConfigError(f"cache_dir must be a string or null, got {self.cache_dir!r}")
         if self.kind not in ("mock", "http"):
             raise ConfigError(f"unknown backend kind {self.kind!r}")
         for key in ("max_inflight", "retry_budget", "seed", "embed_dim"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
+        for key in ("malformed_rate", "empty_qp_rate"):
+            value = getattr(self, key)
+            if not (is_finite_number(value) and 0.0 <= value <= 1.0):
+                raise ConfigError(f"{key} must be a number in [0, 1], got {value!r}")
+        if not (is_finite_number(self.timeout) and self.timeout > 0):
+            raise ConfigError(f"timeout must be a finite number above 0, got {self.timeout!r}")
         if self.max_inflight < 1:
             raise ConfigError("max_inflight must be >= 1")
         if self.retry_budget < 0:
@@ -418,14 +447,26 @@ def build_embed_payload(model, text):
 
 
 class RequestsTransport:
-    """POST JSON over HTTP with bearer-token auth from an env var."""
+    """POST JSON over HTTP with bearer-token auth from an env var.
+
+    ``requests`` is imported, and the one ``Session`` built, by the first
+    request, under a lock, since fan-out workers may send their first
+    requests at once (see the module docstring).
+    """
 
     def __init__(self, auth_env="", timeout=60.0):
         self.auth_env = auth_env
         self.timeout = timeout
-        self._session = requests.Session()
+        self._session = None
+        self._session_lock = threading.Lock()
 
     def __call__(self, url, payload):
+        import requests
+
+        if self._session is None:
+            with self._session_lock:
+                if self._session is None:
+                    self._session = requests.Session()
         headers = {"Content-Type": "application/json"}
         if self.auth_env:
             token = os.environ.get(self.auth_env, "")
@@ -459,14 +500,19 @@ class HttpBackend(Backend):
         self.profile = profile
         self.model = profile.model
         self.transport = transport or RequestsTransport(profile.auth_env, profile.timeout)
+        self.calls = {"generate": 0, "score": 0, "embed": 0, "reward": 0}
+        self._lock = threading.Lock()
 
-    def _url(self, route):
-        return self.profile.endpoint.rstrip("/") + route
+    def _send(self, op, route, payload):
+        """POST ``payload`` to ``route`` under the endpoint, counting one ``op`` request."""
+        with self._lock:
+            self.calls[op] += 1
+        return self.transport(self.profile.endpoint.rstrip("/") + route, payload)
 
     def generate(self, messages, params):
         _check_messages(messages)
         payload = build_chat_payload(self.model, messages, params)
-        resp = self.transport(self._url("/chat/completions"), payload)
+        resp = self._send("generate", "/chat/completions", payload)
         try:
             content = resp["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -479,7 +525,7 @@ class HttpBackend(Backend):
         if not text:
             raise ValueError("text must be non-empty")
         payload = build_embed_payload(self.model, text)
-        resp = self.transport(self._url("/embeddings"), payload)
+        resp = self._send("embed", "/embeddings", payload)
         try:
             vec = np.asarray(resp["data"][0]["embedding"], dtype=float)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -496,7 +542,7 @@ class HttpBackend(Backend):
         if not response:
             raise ValueError("response must be non-empty")
         payload = build_reward_payload(self.model, context, response)
-        resp = self.transport(self._url("/chat/completions"), payload)
+        resp = self._send("reward", "/chat/completions", payload)
         try:
             if isinstance(resp, dict) and "score" in resp:
                 score = float(resp["score"])

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backends import BackendProfile, ConfigError, GenParams, make_backend
+from .backends import BackendProfile, ConfigError, GenParams, is_finite_number, make_backend
 from .cascade import AGENTS
 from .evalharness import EvalError, MatchPolicy
 from .filtering import STRATEGIES
@@ -71,12 +70,9 @@ def _integer(raw, key, default):
 
 def _number(raw, key, default):
     value = raw.get(key, default)
-    try:
-        if not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except (TypeError, OverflowError):
-        pass
-    raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if not is_finite_number(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _object(raw, key):

@@ -735,7 +735,9 @@ def test_requests_transport_posts_json_with_bearer_token(monkeypatch):
     monkeypatch.setenv("RM_TOKEN", "s3cret")
     sent = []
     transport = RequestsTransport(auth_env="RM_TOKEN", timeout=5.0)
-    monkeypatch.setattr(transport._session, "post", _fake_post(200, '{"score": 1.5}', sent))
+    monkeypatch.setattr(
+        requests.Session, "post", staticmethod(_fake_post(200, '{"score": 1.5}', sent))
+    )
     url = "https://rm.test/v1/chat/completions"
     assert transport(url, {"model": "rm"}) == {"score": 1.5}
     headers = {"Content-Type": "application/json", "Authorization": "Bearer s3cret"}
@@ -757,10 +759,48 @@ def test_requests_transport_posts_json_with_bearer_token(monkeypatch):
 )
 def test_requests_transport_maps_failures(monkeypatch, status, text, error):
     transport = RequestsTransport()
-    monkeypatch.setattr(transport._session, "post", _fake_post(status, text))
+    monkeypatch.setattr(requests.Session, "post", staticmethod(_fake_post(status, text)))
     with pytest.raises(BackendError) as exc:
         transport("https://example.test/v1/chat/completions", {})
     assert type(exc.value) is error
+
+
+def test_requests_transport_builds_one_session_for_concurrent_first_requests(monkeypatch):
+    built = []
+    ready = threading.Barrier(8, timeout=10)
+
+    class CountingSession:
+        def __init__(self):
+            built.append(self)
+            time.sleep(0.01)  # widen the window in which a second build could start
+
+        post = staticmethod(_fake_post(200, '{"ok": true}'))
+
+    monkeypatch.setattr(requests, "Session", CountingSession)
+    transport = RequestsTransport()
+
+    def first_request(_):
+        ready.wait()
+        return transport("https://example.test/v1/chat/completions", {})
+
+    with ThreadPoolExecutor(8) as pool:
+        answers = list(pool.map(first_request, range(8), timeout=10))
+    assert answers == [{"ok": True}] * 8
+    assert len(built) == 1
+
+
+def test_http_backend_counts_each_request_sent_per_operation():
+    failures = [TransientBackendError("HTTP 503 from endpoint")]
+
+    def transport(url, payload):
+        if failures:
+            raise failures.pop()
+        return {"choices": [{"message": {"content": "ok"}}]}
+
+    profile = BackendProfile(kind="http", endpoint="https://example.test/v1", model="remote")
+    backend = CachingBackend(HttpBackend(profile, transport=transport), retry_budget=1)
+    assert backend.generate(_user("hi"), PARAMS) == "ok"
+    assert backend.stats()["inner_calls"] == {"generate": 2, "score": 0, "embed": 0, "reward": 0}
 
 
 def test_mock_judge_line_yields_single_verdict():

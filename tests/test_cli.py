@@ -653,9 +653,25 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, overrides):
         ("retry_budget", -1),
         ("max_inflight", True),
         ("max_inflight", "4"),
+        ("kind", 5),
+        ("model", 5),
+        ("endpoint", ["https://rm.test/v1"]),
+        ("auth_env", 0),
+        ("cache_dir", 7),
+        ("malformed_rate", "x"),
+        ("malformed_rate", 1.5),
+        ("empty_qp_rate", float("nan")),
+        ("empty_qp_rate", False),
+        ("timeout", "60"),
+        ("timeout", -1),
+        ("timeout", 0),
+        ("timeout", float("inf")),
     ],
     ids=["cassette", "replay", "retry-budget-fraction", "retry-budget-negative", "max-inflight-bool",
-         "max-inflight-string"],
+         "max-inflight-string", "kind-number", "model-number", "endpoint-list", "auth-env-number",
+         "cache-dir-number", "malformed-rate-string", "malformed-rate-above-one",
+         "empty-qp-rate-nan", "empty-qp-rate-bool", "timeout-string", "timeout-negative",
+         "timeout-zero", "timeout-inf"],
 )
 def test_bad_profile_field_is_a_config_error(tmp_path, capsys, field, value):
     reward = {"kind": "http", "model": "rm", "endpoint": "https://rm.test/v1", field: value}

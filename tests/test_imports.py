@@ -1,6 +1,10 @@
 """Static checks over the package source.
 
-Imports sit at module level, never inside a function body, and only
+Imports sit at module level, never inside a function body, with one
+exception: ``RequestsTransport.__call__`` imports ``requests``, so a
+process that sends no HTTP request never loads the HTTP stack (start-up is
+the largest cost of a small command; see the ``backends`` docstring). No
+module is loaded through ``importlib`` or ``__import__`` instead. Only
 ``cli.main`` catches ``Exception``: everywhere else a handler names the
 errors it expects, so an unexpected one reaches ``main`` with its own type
 and exit code. Only ``backends.fan_out`` builds a thread pool or thread,
@@ -21,33 +25,6 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tracedistill"
 
 
-def function_local_imports(source):
-    """Line numbers of import statements nested in a function or lambda."""
-    lines = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            lines.update(
-                inner.lineno
-                for inner in ast.walk(node)
-                if isinstance(inner, (ast.Import, ast.ImportFrom))
-            )
-    return sorted(lines)
-
-
-def test_detector_finds_nested_imports_only():
-    source = "import os\n\ndef f():\n    def g():\n        from x import y\n    import sys\n"
-    assert function_local_imports(source) == [5, 6]
-
-
-def test_no_function_local_imports_in_package():
-    offenders = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        lines = function_local_imports(path.read_text(encoding="utf-8"))
-        if lines:
-            offenders[path.name] = lines
-    assert offenders == {}
-
-
 def nodes_by_function(source):
     """Yield (dotted name of the enclosing function or None, node) for every node.
 
@@ -64,6 +41,38 @@ def nodes_by_function(source):
                 yield from visit(child, scope)
 
     return visit(ast.parse(source), ())
+
+
+def nested_imports(source):
+    """(enclosing class or function, line, imported modules) of each import not at module level."""
+    found = []
+    for scope, node in nodes_by_function(source):
+        if scope is not None and isinstance(node, ast.Import):
+            found.append((scope, node.lineno, [alias.name for alias in node.names]))
+        elif scope is not None and isinstance(node, ast.ImportFrom):
+            found.append((scope, node.lineno, ["." * node.level + (node.module or "")]))
+    return found
+
+
+def test_detector_finds_nested_imports_only():
+    source = (
+        "import os\n\ndef f():\n    def g():\n        from x import y\n    import sys\n"
+        "class C:\n    from . import z\n"
+    )
+    assert nested_imports(source) == [("f.g", 5, ["x"]), ("f", 6, ["sys"]), ("C", 8, ["."])]
+
+
+# enclosing function -> modules it imports; the reason is in the module docstring
+NESTED_IMPORTS = {"backends.py": [("RequestsTransport.__call__", ["requests"])]}
+
+
+def test_no_function_local_imports_in_package():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        imports = nested_imports(path.read_text(encoding="utf-8"))
+        if imports:
+            found[path.name] = [(scope, modules) for scope, _, modules in imports]
+    assert found == NESTED_IMPORTS
 
 
 def broad_handlers(source):
@@ -126,6 +135,11 @@ def constructions_outside(names, allowed, find=constructions):
         if found:
             offenders[path.name] = found
     return offenders
+
+
+def test_no_import_by_call_in_package():
+    """No module loads through ``importlib`` or ``__import__``, past the nested-import gate."""
+    assert constructions_outside({"import_module", "__import__"}, None) == {}
 
 
 def test_detector_finds_thread_constructions():
