@@ -374,8 +374,16 @@ def run_command(config, args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ``ConfigError``s, so a bad
+    command line exits 2 with the JSON error as every other failure does."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tracedistill",
         description="Distill structured reasoning training data and run the inference cascade.",
     )
@@ -409,8 +417,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config)
         with workdir_lock(config.workdir):
             return run_command(config, args)

@@ -68,9 +68,12 @@ def _candidate_messages(candidate_text, example, subtask):
 def generate_candidates(config, seed_examples, golds, backend):
     """Propose n distinct candidate instruction texts.
 
-    Duplicate completions trigger retries over perturbed seed orderings for
-    up to RETRY_ROUNDS extra rounds; after that a short list is returned
-    with a warning. ``golds`` are the seed examples' gold blocks.
+    Each round fans out the generations it still needs, one per attempt,
+    seeded ``base_seed * 10_000 + attempt`` with the attempt numbers fixed
+    before the round starts, and keeps the first of each text in attempt
+    order. Duplicate completions trigger retries over perturbed seed
+    orderings for up to RETRY_ROUNDS extra rounds; after that a short list
+    is returned with a warning. ``golds`` are the seed examples' gold blocks.
     """
     if not seed_examples:
         raise InductionError("seed set must be non-empty")
@@ -82,15 +85,19 @@ def generate_candidates(config, seed_examples, golds, backend):
         if round_no:
             random.Random(config.base_seed + round_no).shuffle(ordered)
         prompt_text = prompts.reverse_prompt(config.reverse_prompt, ordered, config.subtask)
-        needed = config.n_candidates - len(texts)
-        for _ in range(needed):
+        messages = [ChatMessage(role="user", content=prompt_text)]
+        attempts = range(attempt, attempt + config.n_candidates - len(texts))
+        attempt = attempts.stop
+
+        def propose(number):
             params = GenParams(
                 temperature=config.temperature,
                 max_tokens=config.max_tokens,
-                seed=config.base_seed * 10_000 + attempt,
+                seed=config.base_seed * 10_000 + number,
             )
-            attempt += 1
-            completion = backend.generate([ChatMessage(role="user", content=prompt_text)], params)
+            return backend.generate(messages, params)
+
+        for completion in fan_out(backend, propose, attempts):
             text = completion.strip()
             if text and text not in seen:
                 seen.add(text)
@@ -105,21 +112,22 @@ def generate_candidates(config, seed_examples, golds, backend):
     return texts
 
 
-def score_gen(candidate_text, seed_examples, golds, config, backend, reward_backend=None):
-    """Mean per-example fit of the gold outputs under the candidate.
+def score_gen(candidate_texts, seed_examples, golds, config, backend, reward_backend=None):
+    """Mean per-example fit of the gold outputs under each candidate.
 
-    Returns (score, method) with method "logprob" when the backend scored
-    the gold sequences directly and "reward" for the fallback path.
-    Per-example scoring fans out; the backend enforces its in-flight bound.
-    ``golds`` are as for ``generate_candidates``.
+    Returns one (score, method) per candidate, with method "logprob" when
+    the backend scored the gold sequences directly and "reward" for the
+    fallback path. Every candidate's examples fan out together, in one
+    pass; the backend enforces its in-flight bound. ``golds`` are as for
+    ``generate_candidates``.
     """
     if not seed_examples:
         raise InductionError("seed set must be non-empty")
     params = GenParams(temperature=config.temperature, max_tokens=config.max_tokens)
 
-    def score_one(shown):
-        example, gold = shown
-        messages = _candidate_messages(candidate_text, example, config.subtask)
+    def score_one(job):
+        text, example, gold = job
+        messages = _candidate_messages(text, example, config.subtask)
         try:
             return backend.score_completion(messages, gold), "logprob"
         except CapabilityError:
@@ -127,10 +135,15 @@ def score_gen(candidate_text, seed_examples, golds, config, backend, reward_back
             generated = backend.generate(messages, params)
             return scorer.reward(messages, generated or gold), "reward"
 
-    results = fan_out(backend, score_one, list(zip(seed_examples, golds)))
-    scores = [value for value, _ in results]
-    method = "reward" if any(m == "reward" for _, m in results) else "logprob"
-    return sum(scores) / len(scores), method
+    jobs = [(text, *shown) for text in candidate_texts for shown in zip(seed_examples, golds)]
+    results = fan_out(backend, score_one, jobs)
+    per_candidate = len(seed_examples)
+    fits = []
+    for start in range(0, len(results), per_candidate):
+        scored = results[start : start + per_candidate]
+        method = "reward" if any(m == "reward" for _, m in scored) else "logprob"
+        fits.append((sum(value for value, _ in scored) / per_candidate, method))
+    return fits
 
 
 def _held_out_slice(seed_examples, fraction):
@@ -226,11 +239,11 @@ def induce_prompt(config, seed_examples, backend, judge_backend=None, reward_bac
     """Full induction pass; returns (winner, report dict for the sidecar)."""
     golds = [prompts.gold_output(example, config.subtask) for example in seed_examples]
     texts = generate_candidates(config, seed_examples, golds, backend)
-    candidates = [CandidatePrompt(text=t) for t in texts]
-    for cand in candidates:
-        cand.s_gen, cand.gen_method = score_gen(
-            cand.text, seed_examples, golds, config, backend, reward_backend
-        )
+    fits = score_gen(texts, seed_examples, golds, config, backend, reward_backend)
+    candidates = [
+        CandidatePrompt(text=text, s_gen=s_gen, gen_method=method)
+        for text, (s_gen, method) in zip(texts, fits)
+    ]
     if len(candidates) >= 2:
         wins = score_pref(texts, seed_examples, golds, config, backend, judge_backend or backend)
     else:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import sqlite3
+import zlib
 from contextlib import closing
 from pathlib import Path
 
@@ -167,15 +168,39 @@ def make_example(ident, n_steps=2, n_conditions=2, seed=0, with_cot=True):
     )
 
 
-def cached_rows(root):
-    """The result of every row of every call cache file under ``root``.
+# a call cache as schema 2 first created it: a rowid table with its key in an autoindex
+ROWID_CACHE_SETUP = """
+PRAGMA journal_mode=WAL;
+CREATE TABLE calls (key TEXT PRIMARY KEY, result TEXT);
+"""
 
-    A row is a completion's text, or the float64 ``bytes`` of a reward, score or embedding.
+
+def inflated(row):
+    """A stored row as its value: a BLOB that is exactly one raw-deflate stream of UTF-8
+    is a completion's text; any other row is returned as it is."""
+    if not isinstance(row, bytes):
+        return row
+    unpacker = zlib.decompressobj(-15)
+    try:
+        data = unpacker.decompress(row)
+        if unpacker.eof and not unpacker.unused_data:
+            return data.decode("utf-8")
+    except (zlib.error, UnicodeDecodeError):
+        pass
+    return row
+
+
+def cached_rows(root):
+    """The result of every row of every call cache file under ``root``, in key order.
+
+    A row is a completion's text, inflated if it was stored deflated, or the
+    float64 ``bytes`` of a reward, score or embedding.
     """
     rows = []
     for path in sorted(Path(root).rglob("calls.sqlite")):
         with closing(sqlite3.connect(path)) as db:
-            rows += [text for (text,) in db.execute("SELECT result FROM calls")]
+            stored = db.execute("SELECT result FROM calls ORDER BY key")
+            rows += [inflated(row) for (row,) in stored]
     return rows
 
 

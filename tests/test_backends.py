@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import weakref
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
@@ -35,7 +36,7 @@ from tracedistill.backends import (
 )
 from tracedistill.synthesis import parse_ucot, ParseFailure
 
-from conftest import GOLD_REWARD_ZERO, cached_rows
+from conftest import GOLD_REWARD_ZERO, ROWID_CACHE_SETUP, cached_rows, inflated
 
 
 def _user(content):
@@ -43,6 +44,11 @@ def _user(content):
 
 
 PARAMS = GenParams()
+
+
+def _raw_deflate(data):
+    packer = zlib.compressobj(wbits=-15)
+    return packer.compress(data) + packer.flush()
 
 
 def _set_every_row(cache_dir, row):
@@ -312,6 +318,8 @@ def test_cached_embedding_is_the_vector_bit_for_bit_as_float64_bytes(tmp_path):
         ("embed", None),
         ("generate", bytes(8)),
         ("generate", None),
+        pytest.param("generate", _raw_deflate(b'["Condition"]')[:-2], id="generate-torn-deflate"),
+        pytest.param("generate", _raw_deflate(b"\xff\xfe" * 20), id="generate-deflated-not-utf8"),
         ("reward", '{"result": NaN}'),
         ("reward", '{"result": Infinity}'),
         ("reward", '{"result": true}'),
@@ -347,6 +355,7 @@ def test_cached_value_the_operation_could_not_return_is_a_miss(tmp_path, op, row
         ("generate", "", ""),
         ("generate", '{"result": 5}', '{"result": 5}'),
         ("generate", '["Condition 1"]', '["Condition 1"]'),
+        ("generate", _raw_deflate('["Condition é"]'.encode()), '["Condition é"]'),
         ("reward", struct.pack("<d", 3.0), 3.0),
         ("reward", bytes(8), 0.0),
         ("score", struct.pack("<d", -1.5), -1.5),
@@ -377,8 +386,9 @@ GOLDEN_KEYS = {
 
 
 def _stored(cache_dir):
+    """Every ``(key, result)`` row as stored, in key order: text keys sort before BLOB ones."""
     with closing(sqlite3.connect(cache_dir / "calls.sqlite")) as db:
-        return db.execute("SELECT key, result FROM calls ORDER BY rowid").fetchall()
+        return db.execute("SELECT key, result FROM calls ORDER BY key").fetchall()
 
 
 def test_each_operation_keys_its_call_by_these_bytes(tmp_path):
@@ -507,8 +517,77 @@ def test_store_primed_by_schema_version_1_is_served_as_misses(tmp_path):
     assert inner.calls == {"generate": 1, "score": 1, "embed": 1, "reward": 1}
     assert backend.cache_misses == 4
     stored = _stored(tmp_path)
-    assert stored[:4] == v1_rows
-    assert [key for key, _ in stored[4:]] == [bytes.fromhex(GOLDEN_KEYS[op]) for op in CALLS]
+    assert stored[:4] == sorted(v1_rows)
+    assert [key for key, _ in stored[4:]] == sorted(bytes.fromhex(k) for k in GOLDEN_KEYS.values())
+
+
+def test_completion_that_deflate_shortens_is_stored_as_its_raw_deflate_bytes(tmp_path):
+    backend = CachingBackend(MockBackend(), cache_dir=tmp_path)
+    text = CALLS["generate"](backend)
+    backend.close()
+    [(_, row)] = _stored(tmp_path)
+    assert isinstance(row, bytes)
+    assert len(row) < len(text.encode("utf-8"))
+    assert zlib.decompress(row, -15).decode("utf-8") == text
+    packer = zlib.compressobj(1, zlib.DEFLATED, -12, 2)
+    assert row == packer.compress(text.encode("utf-8")) + packer.flush()
+    inner = MockBackend()
+    assert CALLS["generate"](CachingBackend(inner, cache_dir=tmp_path)) == text
+    assert inner.calls["generate"] == 0
+
+
+@pytest.mark.parametrize("text", ["", "A", "[]", "tie", "fact-9"])
+def test_completion_that_deflate_would_lengthen_stays_text(tmp_path, text):
+    backend = CachingBackend(MockBackend(queue=[text]), cache_dir=tmp_path)
+    assert CALLS["generate"](backend) == text
+    backend.close()
+    assert [row for _, row in _stored(tmp_path)] == [text]
+    inner = MockBackend()
+    assert CALLS["generate"](CachingBackend(inner, cache_dir=tmp_path)) == text
+    assert inner.calls["generate"] == 0
+
+
+def test_a_new_store_keeps_each_key_once(tmp_path):
+    backend = CachingBackend(MockBackend(), cache_dir=tmp_path)
+    for call in CALLS.values():
+        call(backend)
+    backend.close()
+    with closing(sqlite3.connect(tmp_path / "calls.sqlite")) as db:
+        assert db.execute("SELECT type, name FROM sqlite_master").fetchall() == [
+            ("table", "calls")
+        ]
+        with pytest.raises(sqlite3.OperationalError, match="rowid"):
+            db.execute("SELECT rowid FROM calls")
+    assert len(_stored(tmp_path)) == 4
+
+
+def test_store_with_a_rowid_table_and_text_rows_is_served_and_kept(tmp_path):
+    expected = {op: call(CachingBackend(MockBackend())) for op, call in CALLS.items()}
+    first = CachingBackend(MockBackend(), cache_dir=tmp_path)
+    for call in CALLS.values():
+        call(first)
+    first.close()
+    rows = [(key, inflated(row)) for key, row in _stored(tmp_path)]
+    (tmp_path / "calls.sqlite").unlink()
+    with closing(sqlite3.connect(tmp_path / "calls.sqlite")) as db:
+        db.executescript(ROWID_CACHE_SETUP)
+        with db:
+            db.executemany("INSERT INTO calls (key, result) VALUES (?, ?)", rows)
+    inner = MockBackend()
+    backend = CachingBackend(inner, cache_dir=tmp_path)
+    for op, call in CALLS.items():
+        assert np.array_equal(call(backend), expected[op])
+    assert sum(inner.calls.values()) == 0
+    assert backend.cache_hits == 4
+    new = backend.generate(_user("not cached yet\n\nQuestion Parsing:"), PARAMS)
+    backend.close()
+    with closing(sqlite3.connect(tmp_path / "calls.sqlite")) as db:
+        names = [name for (name,) in db.execute("SELECT name FROM sqlite_master")]
+        by_rowid = db.execute("SELECT key, result FROM calls ORDER BY rowid").fetchall()
+    assert names == ["calls", "sqlite_autoindex_calls_1"]
+    assert by_rowid[:4] == rows
+    assert inflated(by_rowid[4][1]) == new
+    assert isinstance(by_rowid[4][1], bytes)
 
 
 def test_a_cache_hit_does_no_json_work(tmp_path, monkeypatch):
@@ -774,6 +853,9 @@ def test_requests_transport_builds_one_session_for_concurrent_first_requests(mon
             built.append(self)
             time.sleep(0.01)  # widen the window in which a second build could start
 
+        def mount(self, prefix, adapter):
+            pass
+
         post = staticmethod(_fake_post(200, '{"ok": true}'))
 
     monkeypatch.setattr(requests, "Session", CountingSession)
@@ -787,6 +869,22 @@ def test_requests_transport_builds_one_session_for_concurrent_first_requests(mon
         answers = list(pool.map(first_request, range(8), timeout=10))
     assert answers == [{"ok": True}] * 8
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("max_inflight", [1, 32])
+def test_http_session_keeps_a_connection_per_request_in_flight(monkeypatch, max_inflight):
+    sent = []
+    answer = '{"data": [{"embedding": [1.0]}]}'
+    monkeypatch.setattr(requests.Session, "post", staticmethod(_fake_post(200, answer, sent)))
+    profile = BackendProfile(
+        kind="http", endpoint="https://example.test/v1", model="remote", max_inflight=max_inflight
+    )
+    backend = HttpBackend(profile)
+    assert backend.embed("text").tolist() == [1.0]
+    assert [url for url, _ in sent] == ["https://example.test/v1/embeddings"]
+    for url in ("https://example.test/v1/embeddings", "http://plain.test/v1"):
+        adapter = backend.transport._session.get_adapter(url)
+        assert adapter.poolmanager.connection_from_url(url).pool.maxsize == max_inflight
 
 
 def test_http_backend_counts_each_request_sent_per_operation():

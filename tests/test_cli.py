@@ -17,8 +17,10 @@ from conftest import (
     GOLD_REWARD_AVG,
     GOLD_REWARD_FEW,
     GOLD_REWARD_ZERO,
+    ROWID_CACHE_SETUP,
     cached_rows,
     gold_example,
+    inflated,
     make_example,
     write_jsonl,
 )
@@ -26,7 +28,7 @@ from tracedistill import backends as backends_module
 from tracedistill import prompts
 from tracedistill.backends import build_reward_payload
 from tracedistill.cascade import STAGES as CASCADE_STAGES
-from tracedistill.cli import WorkdirLockedError, build_parser, main, workdir_lock
+from tracedistill.cli import WorkdirLockedError, main, workdir_lock
 from tracedistill.corpus import instance_to_json, seed_to_json, trace_to_json
 from tracedistill.filtering import build_reward_prompts
 from tracedistill.retrieval import build_index, top_k
@@ -588,10 +590,46 @@ def test_unknown_backend_role_is_a_config_error(tmp_path, capsys, role):
         ["export", "--subtask", "CV"],
     ],
 )
-def test_removed_run_overrides_are_rejected(argv):
+def test_removed_run_overrides_are_rejected(argv, capsys):
+    assert main(argv + ["--config", "cfg.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "ConfigError"
+    assert "unrecognized arguments" in err["message"]
+    assert argv[1] in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["infer"], ["the following arguments are required", "--config"]),
+        (["infer", "--config", "cfg.json", "--bogus"], ["unrecognized arguments", "--bogus"]),
+        (["export", "--config", "cfg.json", "--strategy", "best"], ["invalid choice", "best"]),
+        (["distill", "--config", "cfg.json"], ["invalid choice", "distill"]),
+        ([], ["the following arguments are required", "command"]),
+    ],
+)
+def test_a_bad_command_line_exits_2_with_the_json_error(
+    tmp_path, monkeypatch, capsys, argv, words
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "ConfigError"
+    assert all(word in err["message"] for word in words)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(argv + ["--config", "cfg.json"])
-    assert exc.value.code == 2
+        main(["infer", "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: tracedistill infer")
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("key", ["workers", "leave_one_out", "reward_treshold"])
@@ -785,7 +823,9 @@ def _in_schema_1_form(role, result):
     """A stored result as schema 1 held it: ``{"result": ...}`` text, or an embedding's bytes."""
     if role == "embedding":
         return result
-    value = result if isinstance(result, str) else struct.unpack("<d", result)[0]
+    value = inflated(result)  # a completion's text, or a reward's or score's float64 bytes
+    if isinstance(value, bytes):
+        value = struct.unpack("<d", value)[0]
     return json.dumps({"result": value}, ensure_ascii=False)
 
 
@@ -826,10 +866,54 @@ def test_rerun_over_rows_in_the_older_form_makes_every_call_again(tmp_path, monk
     assert {path: (workdir / path).read_bytes() for path in outputs} == outputs
     for store, rows in older.items():
         with closing(sqlite3.connect(store)) as db:
-            stored = db.execute("SELECT key, result FROM calls ORDER BY rowid").fetchall()
-        assert stored[: len(rows)] == rows
+            # text keys sort before BLOB ones
+            stored = db.execute("SELECT key, result FROM calls ORDER BY key").fetchall()
+        assert stored[: len(rows)] == sorted(rows)
         assert len(stored) == 2 * len(rows)
         assert all(isinstance(key, bytes) and len(key) == 32 for key, _ in stored[len(rows) :])
+
+
+def test_rowid_stores_with_text_rows_serve_infer_and_eval_with_no_endpoint_call(
+    tmp_path, monkeypatch
+):
+    config = make_config(tmp_path)
+    workdir = tmp_path / "work"
+    for command in ("induce", "synthesize", "filter", "infer", "eval"):
+        assert main([command, "--config", str(config)]) == 0
+    written = ["predictions.jsonl", "eval_report.json"]
+    written += ["manifests/infer.json", "manifests/eval.json"]
+    before = {name: (workdir / name).read_bytes() for name in written}
+    # each store rebuilt as schema 2 first made it: a rowid table, every completion as text
+    stores = {}
+    for store in sorted((workdir / "cache").rglob("calls.sqlite")):
+        with closing(sqlite3.connect(store)) as db:
+            stores[store] = [
+                (key, inflated(row)) for key, row in db.execute("SELECT key, result FROM calls")
+            ]
+        store.unlink()
+        with closing(sqlite3.connect(store)) as db:
+            db.executescript(ROWID_CACHE_SETUP)
+            with db:
+                db.executemany("INSERT INTO calls (key, result) VALUES (?, ?)", stores[store])
+    assert any(isinstance(r, str) and len(r) > 100 for rows in stores.values() for _, r in rows)
+    calls = Counter()
+    track = backends_module.MockBackend._track
+
+    def counting(self, op):
+        calls[op] += 1
+        return track(self, op)
+
+    monkeypatch.setattr(backends_module.MockBackend, "_track", counting)
+    for command in ("infer", "eval"):
+        assert main([command, "--config", str(config)]) == 0
+    assert calls == Counter()
+    stats = json.loads((workdir / "logs" / "infer_stats.json").read_text(encoding="utf-8"))
+    assert stats["backend_calls"] == 0
+    assert stats["cache_hits"] > 0
+    assert {name: (workdir / name).read_bytes() for name in written} == before
+    for store, rows in stores.items():
+        with closing(sqlite3.connect(store)) as db:
+            assert db.execute("SELECT key, result FROM calls ORDER BY rowid").fetchall() == rows
 
 
 def test_commands_close_their_cache_connections(tmp_path):

@@ -41,12 +41,37 @@ def test_generate_candidates_distinct_texts():
     assert len(set(texts)) == 4
 
 
+class _BySeed(Backend):
+    """Answers each generation with the text listed for its seed, whatever the order of calls."""
+
+    model = "by-seed"
+
+    def __init__(self, texts):
+        self.texts = texts
+        self.seeds = []
+
+    def generate(self, messages, params):
+        self.seeds.append(params.seed)
+        return self.texts[params.seed]
+
+
 def test_generate_candidates_dedupes_injected_duplicates():
-    inner = MockBackend(queue=["prompt A", "prompt A", "prompt B", "prompt C"])
+    # round 0 sends attempts 0-2 at once and keeps A, B; round 1 sends attempt 3 for C
+    inner = _BySeed(["prompt B", "prompt A", "prompt B", "prompt C", "unused"])
     backend = CachingBackend(inner)
     texts = generate_candidates(_config(n_candidates=3), SEED, _golds(SEED), backend)
-    assert texts == ["prompt A", "prompt B", "prompt C"]
+    assert texts == ["prompt B", "prompt A", "prompt C"]
+    assert sorted(inner.seeds) == [0, 1, 2, 3]
+
+
+def test_generate_candidates_sends_a_round_at_once():
+    inner = MockBackend(latency=0.02)
+    backend = CachingBackend(inner, max_inflight=4)
+    texts = generate_candidates(_config(), SEED, _golds(SEED), backend)
+    serial = MockBackend()  # no max_inflight, so fan_out sends one call at a time
+    assert texts == generate_candidates(_config(), SEED, _golds(SEED), serial)
     assert inner.calls["generate"] == 4
+    assert inner.max_inflight_observed > 1
 
 
 def test_generate_candidates_warns_when_rounds_exhausted(caplog):
@@ -63,7 +88,7 @@ def test_score_gen_single_example_equals_direct_score():
     config = _config()
     candidate = "Extract the key conditions as a JSON array."
     seed = SEED[:1]
-    value, method = score_gen(candidate, seed, _golds(seed), config, backend)
+    [(value, method)] = score_gen([candidate], seed, _golds(seed), config, backend)
     query = f"Question:\n{seed[0].instance.question}\n" + "\n".join(
         f"{label}. {text}" for label, text in zip("ABCD", seed[0].instance.options)
     )
@@ -77,10 +102,24 @@ def test_score_gen_two_examples_is_arithmetic_mean():
     backend = CachingBackend(MockBackend())
     config = _config()
     candidate = "Extract the key conditions as a JSON array."
-    one, _ = score_gen(candidate, SEED[:1], _golds(SEED[:1]), config, backend)
-    other, _ = score_gen(candidate, SEED[1:2], _golds(SEED[1:2]), config, backend)
-    both, _ = score_gen(candidate, SEED[:2], _golds(SEED[:2]), config, backend)
+    [(one, _)] = score_gen([candidate], SEED[:1], _golds(SEED[:1]), config, backend)
+    [(other, _)] = score_gen([candidate], SEED[1:2], _golds(SEED[1:2]), config, backend)
+    [(both, _)] = score_gen([candidate], SEED[:2], _golds(SEED[:2]), config, backend)
     assert both == pytest.approx((one + other) / 2)
+
+
+def test_score_gen_scores_every_candidate_in_one_pass():
+    texts = [f"Candidate instruction {i}." for i in range(3)]
+    alone = [
+        score_gen([text], SEED, _golds(SEED), _config(), CachingBackend(MockBackend()))[0]
+        for text in texts
+    ]
+    inner = MockBackend(latency=0.02)
+    backend = CachingBackend(inner, max_inflight=12)
+    assert score_gen(texts, SEED, _golds(SEED), _config(), backend) == alone
+    assert inner.calls["score"] == 12
+    # serial candidates would hold at most len(SEED) == 4 calls in flight
+    assert inner.max_inflight_observed > 4
 
 
 class _GenerateOnly(Backend):
@@ -101,7 +140,8 @@ class _GenerateOnly(Backend):
 def test_score_gen_falls_back_to_reward_and_records_it():
     backend = _GenerateOnly()
     seed = SEED[:2]
-    value, method = score_gen("Candidate instruction.", seed, _golds(seed), _config(), backend)
+    candidates = ["Candidate instruction."]
+    [(value, method)] = score_gen(candidates, seed, _golds(seed), _config(), backend)
     assert method == "reward"
     assert isinstance(value, float)
 

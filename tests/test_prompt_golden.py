@@ -139,7 +139,7 @@ def _render_induction(seeds, subtask):
     backend = Recorder()
     golds = [gold_output(example, subtask) for example in seeds]
     generate_candidates(config, seeds, golds, backend)
-    score_gen("Candidate instruction text.", seeds, golds, config, backend)
+    score_gen(["Candidate instruction text."], seeds, golds, config, backend)
     return backend.requests
 
 
