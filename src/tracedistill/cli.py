@@ -21,6 +21,10 @@ is written by synthesize and read by no stage. Concurrent invocations
 against one working directory are rejected: each holds an exclusive flock
 on <workdir>/.lock, which the kernel drops when its holder exits (POSIX only).
 Failures print a machine-readable JSON error on stderr and exit nonzero.
+Every dataset file is read through ``corpus.read_records``, so bad data
+exits 5 naming the file and line. A path the user names (``--pred``,
+``--gold``, ``--data``, the config's paths) that is not a file exits 2; a
+missing artifact of an earlier stage exits 3 and names that stage.
 """
 
 from __future__ import annotations
@@ -45,16 +49,18 @@ from .corpus import (
     export_sft,
     load_questions,
     load_seed,
+    parse_seed_record,
+    read_records,
     replacing,
     save_jsonl,
     seed_to_json,
 )
-from .evalharness import EvalError, evaluate, format_report
+from .evalharness import evaluate, format_report
 from .filtering import STRATEGIES, run_filter, to_training_example
 from .induction import InductionConfig, InductionError, induce_prompt
 from .prompts import seed_cards
 from .retrieval import INDEX_FORMAT, RetrievalError, build_index, save_index
-from .synthesis import load_records, record_to_json, synthesize_batch
+from .synthesis import record_from_json, record_to_json, synthesize_batch
 
 
 class MissingArtifactError(Exception):
@@ -71,7 +77,6 @@ class WorkdirLockedError(Exception):
 EXIT_CODES = {
     ConfigError: 2,
     InductionError: 2,
-    EvalError: 2,
     MissingArtifactError: 3,
     WorkdirLockedError: 4,
     DatasetError: 5,
@@ -172,11 +177,14 @@ class Run:
         self.inputs = {}
 
     def read(self, name, path, upstream=None):
-        """Declare ``path`` the manifest input ``name``. With ``upstream``, the
-        command that writes it, a missing file is a ``MissingArtifactError``."""
+        """Declare ``path`` the manifest input ``name``. A path that is not a file
+        is a ``MissingArtifactError`` naming ``upstream``, the command that writes
+        it, or without one a ``ConfigError``: the user named it."""
         path = Path(path)
-        if upstream is not None and not path.exists():
-            raise MissingArtifactError(path, upstream)
+        if not path.is_file():
+            if upstream is not None:
+                raise MissingArtifactError(path, upstream)
+            raise ConfigError(f"{name} is not a file: {path}")
         self.inputs[name] = path
         return path
 
@@ -193,10 +201,9 @@ class Run:
         index = build_index(seed, embed, encoder=self.config.profiles["embedding"].model)
         return seed_cards(seed), index
 
-    def examples(self, name, path, upstream):
-        """The examples of a dataset file that ``upstream`` writes; an empty file holds none."""
-        path = self.read(name, path, upstream)
-        return load_seed(path) if path.read_text(encoding="utf-8").strip() else []
+    def examples(self, name, path, upstream=None):
+        """The annotated examples of a dataset file; a file with no records holds none."""
+        return read_records(self.read(name, path, upstream), parse_seed_record)
 
 
 def cmd_induce(run):
@@ -267,7 +274,7 @@ def cmd_filter(run):
     config = run.config
     synth_path = run.read("synthesized", config.workdir / "synthesized.jsonl", "synthesize")
     instruction = run.instruction("UCoT")
-    records = load_records(synth_path)
+    records = read_records(synth_path, record_from_json)
     cards, index = run.retrieval()
     result = run_filter(
         records,
@@ -331,7 +338,8 @@ def cmd_infer(run):
 
 def cmd_eval(run):
     config, args = run.config, run.args
-    pred = run.read("pred", args.pred or config.workdir / "predictions.jsonl", "infer")
+    pred = args.pred or config.workdir / "predictions.jsonl"
+    pred = run.read("pred", pred, None if args.pred else "infer")
     gold = args.gold or config.gold_path
     if gold is None:
         raise ConfigError("no gold file: pass --gold or set paths.gold in the config")
@@ -345,7 +353,8 @@ def cmd_eval(run):
 def cmd_stats(run):
     config, args = run.config, run.args
     data = args.data or _filtered_path(config, args.strategy or config.strategy)
-    stats = compute_stats([e.trace for e in run.examples("data", data, "filter")])
+    examples = run.examples("data", data, None if args.data else "filter")
+    stats = compute_stats([e.trace for e in examples])
     rows = [("Total", "QP", "CP", "CV")]
     rows.append((stats.total_traces, stats.qp_count, stats.cp_count, stats.cv_count))
     return [], {}, "\n".join(" ".join(f"{cell:>8}" for cell in row) for row in rows)

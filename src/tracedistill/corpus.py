@@ -1,7 +1,16 @@
 """Data model and file I/O for reasoning-trace datasets.
 
-Datasets are line-delimited JSON (UTF-8); a single top-level JSON array is
-also accepted on ingest. Canonical record fields:
+Every dataset file the package reads (seed, pool, synthesized and filtered
+records, predictions and gold) goes through ``read_records``, which holds
+the one file rule: a file is UTF-8, and is either JSON lines (blank lines
+skipped) or one top-level JSON array. Each record is an object with an
+``id`` unique within its file; its keys are normalised once and the fields
+handed to the reader's own ``parse``. Any defect (bad JSON, nesting too
+deep to decode, bytes that are not UTF-8, a record that is not an object,
+a missing or duplicate id, a field ``parse`` rejects) is a ``SchemaError``
+naming the file, the line and the record. A file with no records reads as
+``[]``; readers that need records raise ``EmptyDatasetError`` on it.
+Canonical record fields:
 
     id                unique identifier within the file
     question          problem statement text
@@ -46,27 +55,20 @@ class SchemaError(DatasetError):
     """A record violated the dataset schema.
 
     Carries the bare message, the field path (e.g. "steps[1].evidence") and,
-    when known, the line number of the offending record.
+    when known, the file, line number and index of the offending record.
     """
 
-    def __init__(self, message, path="", line=None, record=None):
+    def __init__(self, message, path="", file=None, line=None, record=None):
         self.message = message
         self.path = path
-        self.line = line
-        self.record = record
-        where = []
-        if line is not None:
-            where.append(f"line {line}")
-        if record is not None:
-            where.append(f"record {record}")
-        prefix = ", ".join(where)
-        full = f"{path}: {message}" if path else message
-        if prefix:
-            full = f"{prefix}: {full}"
-        super().__init__(full)
+        where = [f"{name} {n}" for name, n in (("line", line), ("record", record)) if n is not None]
+        parts = [str(file)] if file is not None else []
+        parts += [", ".join(where)] if where else []
+        parts += [path] if path else []
+        super().__init__(": ".join(parts + [message]))
 
-    def at(self, line=None, record=None):
-        return SchemaError(self.message, path=self.path, line=line, record=record)
+    def at(self, file, line, record):
+        return SchemaError(self.message, path=self.path, file=file, line=line, record=record)
 
 
 @dataclass
@@ -181,9 +183,8 @@ def parse_question_parsing(value, path="question_parsing"):
 
 
 def parse_instance(fields):
-    if "id" not in fields:
-        raise SchemaError("missing required field", path="id")
-    ident = _require_text(fields["id"] if isinstance(fields["id"], str) else str(fields["id"]), "id")
+    """A bare question instance; annotations are ignored."""
+    ident = _require_text(str(fields["id"]), "id")
     question = _require_text(fields.get("question"), "question")
     options = fields.get("options", [])
     if options is None:
@@ -204,11 +205,8 @@ def parse_instance(fields):
     return QuestionInstance(id=ident, question=question, options=options, gold_answer=answer, cot=cot)
 
 
-def parse_seed_record(obj):
+def parse_seed_record(fields):
     """Parse one fully-annotated record into a SeedExample."""
-    if not isinstance(obj, dict):
-        raise SchemaError("record must be a JSON object")
-    fields = _index_keys(obj)
     instance = parse_instance(fields)
     if "question_parsing" not in fields:
         raise SchemaError("missing required field", path="question_parsing")
@@ -224,67 +222,68 @@ def parse_seed_record(obj):
     return SeedExample(instance=instance, question_parsing=question_parsing, trace=trace)
 
 
-def _read_raw_records(path):
-    """Yield (line_number_or_None, record_index, raw_object) for a dataset file."""
-    raw = Path(path).read_text(encoding="utf-8")
-    if not raw.strip():
-        raise EmptyDatasetError(f"dataset file is empty: {path}")
-    if raw.lstrip().startswith("["):
-        try:
-            array = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON array: {exc}") from None
-        if not isinstance(array, list):
-            raise SchemaError("top-level JSON value must be an array")
-        return [(None, i, obj) for i, obj in enumerate(array)]
+def read_records(path, parse):
+    """``parse(fields)`` of each record in the dataset file ``path``, in file order.
+
+    ``fields`` is the record object with its keys normalised. The file rule
+    is the module docstring's; every defect is a ``SchemaError`` naming
+    ``path``, the line (in an array file, only the JSON error's) and the record.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"not UTF-8: {exc.reason}", file=path, line=line) from None
+    del raw  # hold no byte copy beside the text and its lines (peak memory)
+    array = text.lstrip().startswith("[")
     records = []
-    index = 0
-    for line_no, line in enumerate(raw.splitlines(), start=1):
+    seen = set()
+    for line_no, line in enumerate([text] if array else text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            value = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) from None
-        records.append((line_no, index, obj))
-        index += 1
+            raise SchemaError(
+                f"invalid JSON: {exc.msg}", file=path, line=line_no + exc.lineno - 1
+            ) from None
+        except RecursionError:
+            raise SchemaError(
+                "JSON nested too deeply", file=path, line=None if array else line_no
+            ) from None
+        for obj in value if array else (value,):
+            try:
+                if not isinstance(obj, dict):
+                    raise SchemaError("record must be a JSON object")
+                fields = _index_keys(obj)
+                if "id" not in fields:
+                    raise SchemaError("missing required field", path="id")
+                ident = str(fields["id"])
+                if ident in seen:
+                    raise SchemaError(f"duplicate id {ident!r}", path="id")
+                seen.add(ident)
+                records.append(parse(fields))
+            except SchemaError as exc:
+                raise exc.at(path, None if array else line_no, len(records)) from None
     return records
 
 
-def _check_unique_ids(seen, ident, line, record):
-    if ident in seen:
-        raise SchemaError(f"duplicate id {ident!r}", path="id", line=line, record=record)
-    seen.add(ident)
+def require_records(records, path):
+    """``records``, or an ``EmptyDatasetError`` when the file ``path`` held none."""
+    if not records:
+        raise EmptyDatasetError(f"{path}: dataset file has no records")
+    return records
 
 
 def load_seed(path):
     """Load a fully-annotated dataset (question_parsing + cot_parsing required)."""
-    out = []
-    seen = set()
-    for line, index, obj in _read_raw_records(path):
-        try:
-            example = parse_seed_record(obj)
-        except SchemaError as exc:
-            raise exc.at(line=line, record=index) from None
-        _check_unique_ids(seen, example.instance.id, line, index)
-        out.append(example)
-    return out
+    return require_records(read_records(path, parse_seed_record), path)
 
 
 def load_questions(path):
     """Load bare question instances (pool / test files); annotations are ignored."""
-    out = []
-    seen = set()
-    for line, index, obj in _read_raw_records(path):
-        if not isinstance(obj, dict):
-            raise SchemaError("record must be a JSON object", line=line, record=index)
-        try:
-            instance = parse_instance(_index_keys(obj))
-        except SchemaError as exc:
-            raise exc.at(line=line, record=index) from None
-        _check_unique_ids(seen, instance.id, line, index)
-        out.append(instance)
-    return out
+    return require_records(read_records(path, parse_instance), path)
 
 
 def instance_to_json(instance):

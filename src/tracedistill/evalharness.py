@@ -13,17 +13,28 @@ resolved by multiset intersection, which equals the exhaustive
 one-to-one assignment optimum; token matching uses an exhaustive
 assignment (bitmask dynamic program) for lists of up to 12 items and a
 similarity-ordered greedy pass beyond that.
+
+Prediction and gold files are datasets like any other, read through
+``corpus.read_records``: each record carries an ``id`` and optional
+``question_parsing`` and ``cot_parsing`` lists. A malformed record is a
+``SchemaError``, a file with no records an ``EmptyDatasetError``, and ids
+that differ between the two files a ``DatasetError``.
 """
 
 from __future__ import annotations
 
-import json
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .corpus import SchemaError, _index_keys, canonicalize_verification
+from .corpus import (
+    DatasetError,
+    SchemaError,
+    _index_keys,
+    canonicalize_verification,
+    read_records,
+    require_records,
+)
 
 EXHAUSTIVE_LIMIT = 12
 
@@ -31,7 +42,7 @@ _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
 class EvalError(Exception):
-    pass
+    """An invalid ``MatchPolicy``."""
 
 
 @dataclass
@@ -191,55 +202,37 @@ def _f1(tp, pred_total, gold_total):
     return 2.0 * tp / (pred_total + gold_total)
 
 
-def _load_eval_file(path):
-    """id -> (condition list, step triples) from a prediction or gold file."""
-    out = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+def _eval_entry(fields):
+    """(id, (condition list, step triples)) of one prediction or gold record."""
+    for name in ("question_parsing", "cot_parsing"):
+        if not isinstance(fields.get(name, []), list):
+            raise SchemaError("expected a JSON array", path=name)
+    steps = []
+    for i, step in enumerate(fields.get("cot_parsing", [])):
+        path = f"cot_parsing[{i}]"
+        if not isinstance(step, dict):
+            raise SchemaError("step must be a JSON object", path=path)
+        step_fields = _index_keys(step)
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise EvalError(f"{path}: line {line_no}: invalid JSON: {exc.msg}") from None
-        if not isinstance(obj, dict):
-            raise EvalError(f"{path}: line {line_no}: expected an object")
-        fields = _index_keys(obj)
-        ident = str(fields.get("id", f"line-{line_no}"))
-        for name in ("question_parsing", "cot_parsing"):
-            if not isinstance(fields.get(name, []), list):
-                raise EvalError(f"{path}: line {line_no}: {name} must be a list")
-        conditions = [str(c) for c in fields.get("question_parsing", [])]
-        steps = []
-        for step in fields.get("cot_parsing", []):
-            if not isinstance(step, dict):
-                raise EvalError(f"{path}: line {line_no}: each cot_parsing step must be an object")
-            step_fields = _index_keys(step)
-            try:
-                verdict = canonicalize_verification(step_fields.get("verification", "False"))
-            except SchemaError as exc:
-                raise EvalError(f"{path}: line {line_no}: {exc}") from None
-            steps.append(
-                (
-                    str(step_fields.get("statement", "")),
-                    str(step_fields.get("evidence", "")),
-                    verdict,
-                )
-            )
-        if ident in out:
-            raise EvalError(f"{path}: duplicate id {ident!r}")
-        out[ident] = (conditions, steps)
-    if not out:
-        raise EvalError(f"{path}: no records")
-    return out
+            verdict = canonicalize_verification(step_fields.get("verification", "False"))
+        except SchemaError as exc:
+            raise SchemaError(exc.message, path=f"{path}.verification") from None
+        steps.append(
+            (str(step_fields.get("statement", "")), str(step_fields.get("evidence", "")), verdict)
+        )
+    conditions = [str(c) for c in fields.get("question_parsing", [])]
+    return str(fields["id"]), (conditions, steps)
 
 
 def _aligned(pred_file, gold_file):
-    pred = _load_eval_file(pred_file)
-    gold = _load_eval_file(gold_file)
+    pred, gold = (
+        dict(require_records(read_records(path, _eval_entry), path))
+        for path in (pred_file, gold_file)
+    )
     missing_pred = sorted(set(gold) - set(pred))
     missing_gold = sorted(set(pred) - set(gold))
     if missing_pred or missing_gold:
-        raise EvalError(
+        raise DatasetError(
             f"id mismatch between {pred_file} and {gold_file}: "
             f"missing from predictions {missing_pred}; missing from gold {missing_gold}"
         )

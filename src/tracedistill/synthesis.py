@@ -222,10 +222,8 @@ def record_to_json(record):
     return out
 
 
-def record_from_json(obj):
-    if not isinstance(obj, dict):
-        raise SchemaError("record must be a JSON object")
-    fields = _index_keys(obj)
+def record_from_json(fields):
+    """A ``SynthesizedRecord`` from one record of ``synthesized.jsonl``, keys normalised."""
     instance = parse_instance(fields)
     qp = fields.get("question_parsing")
     if qp is not None:
@@ -247,18 +245,3 @@ def record_from_json(obj):
         parse_status=status,
         failures=list(failures),
     )
-
-
-def load_records(path):
-    """Read ``synthesized.jsonl``: every non-blank line must be one record object."""
-    records = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(record_from_json(json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) from None
-        except SchemaError as exc:
-            raise exc.at(line=line_no) from None
-    return records

@@ -993,3 +993,112 @@ def test_commands_that_call_no_backend_create_no_call_cache(tmp_path):
         "QP": 1, "CP": 1, "CV": 2
     }
     assert not (workdir / "cache").exists()
+
+
+def _synthesized_row(ident):
+    example = make_example(ident)
+    record = SynthesizedRecord(
+        instance=example.instance,
+        qp_raw="[]",
+        ucot_raw="[]",
+        qp=example.question_parsing,
+        trace=example.trace,
+        parse_status="ok",
+    )
+    return record_to_json(record)
+
+
+# reader -> (the command that reads its file first, that file under tmp_path)
+READERS = {
+    "seed": ("induce", "seed.jsonl"),
+    "pool": ("infer", "pool.jsonl"),
+    "synthesized": ("filter", "work/synthesized.jsonl"),
+    "filtered": ("export", "work/filtered_average.jsonl"),
+    "predictions": ("eval", "work/predictions.jsonl"),
+    "gold": ("eval", "gold.jsonl"),
+}
+
+
+def _reader_run(tmp_path, reader):
+    """(argv, path) of ``reader``'s command with every input it needs in place
+    and ``path``, its file, holding good records."""
+    config = make_config(tmp_path)
+    workdir = tmp_path / "work"
+    (workdir / "prompts").mkdir(parents=True)
+    (workdir / "prompts" / "UCoT.txt").write_text("instruction\n", encoding="utf-8")
+    write_jsonl(workdir / "synthesized.jsonl", [_synthesized_row(f"s-{i}") for i in range(2)])
+    write_jsonl(workdir / "filtered_average.jsonl", [seed_to_json(make_example("kept"))])
+    (workdir / "predictions.jsonl").write_bytes((tmp_path / "gold.jsonl").read_bytes())
+    command, name = READERS[reader]
+    return [command, "--config", str(config)], tmp_path / name
+
+
+def _without_id(line):
+    row = json.loads(line)
+    del row["id"]
+    return json.dumps(row).encode("utf-8")
+
+
+# defect -> the bad line, made from the file's first (good) line
+DEFECTS = {
+    "torn": lambda good: good[: len(good) // 2],
+    "not-an-object": lambda good: b"[1, 2]",
+    "not-utf8": lambda good: b'{"id": "caf\xe9"}',
+    "nested-100000-deep": lambda good: b"[" * 100_000,
+    "duplicate-id": lambda good: good,
+    "missing-id": _without_id,
+}
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+@pytest.mark.parametrize("reader", READERS)
+def test_every_dataset_reader_rejects_a_bad_line_naming_file_and_line(
+    tmp_path, capsys, reader, defect
+):
+    argv, path = _reader_run(tmp_path, reader)
+    lines = path.read_bytes().splitlines()
+    path.write_bytes(b"\n".join(lines + [DEFECTS[defect](lines[0])]) + b"\n")
+    capsys.readouterr()
+    assert main(argv) == 5
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "SchemaError"
+    assert err["message"].startswith(f"{path}: line {len(lines) + 1}")
+
+
+@pytest.mark.parametrize("content", ["", "\n \n", "[]", " [ ]\n"])
+@pytest.mark.parametrize("reader", READERS)
+def test_a_dataset_file_with_no_records(tmp_path, capsys, reader, content):
+    """Inputs a run needs records from exit 5; an upstream stage's empty output reads as empty."""
+    argv, path = _reader_run(tmp_path, reader)
+    path.write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    code = main(argv)
+    workdir = tmp_path / "work"
+    if reader == "synthesized":
+        assert code == 0
+        assert (workdir / "filtered_average.jsonl").read_text(encoding="utf-8") == ""
+    elif reader == "filtered":
+        assert code == 0
+        for subtask in ("QP", "CP", "CV"):
+            sft = workdir / "sft" / f"average_{subtask}.jsonl"
+            assert sft.read_text(encoding="utf-8") == "#sft-v1\n"
+    else:
+        assert code == 5
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "EmptyDatasetError"
+        assert str(path) in err["message"]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command, flag", [("eval", "--gold"), ("stats", "--data"), ("eval", "--pred")])
+def test_a_path_named_on_the_command_line_that_is_not_a_file_exits_2(
+    tmp_path, capsys, command, flag, kind
+):
+    argv, _ = _reader_run(tmp_path, "predictions")
+    bad = tmp_path / "named.jsonl"
+    if kind == "directory":
+        bad.mkdir()
+    assert main([command, flag, str(bad)] + argv[1:]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert str(bad) in err["message"]

@@ -11,6 +11,7 @@ from tracedistill.corpus import (
     canonicalize_verification,
     compute_stats,
     export_sft,
+    instance_to_json,
     load_questions,
     load_seed,
     save_jsonl,
@@ -42,10 +43,11 @@ def test_load_seed_top_level_array(tmp_path):
     assert len(load_seed(path)) == 1
 
 
-def test_load_seed_empty_array_is_empty_list(tmp_path):
+def test_load_seed_empty_array_is_an_empty_dataset_error(tmp_path):
     path = tmp_path / "seed.json"
     path.write_text("[]", encoding="utf-8")
-    assert load_seed(path) == []
+    with pytest.raises(EmptyDatasetError):
+        load_seed(path)
 
 
 def test_load_seed_empty_file_distinct_error(tmp_path):
@@ -223,3 +225,12 @@ def test_save_jsonl_that_fails_partway_leaves_the_previous_file(tmp_path):
         save_jsonl(path, rows())
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
+
+
+def test_a_written_record_with_unicode_line_separators_reads_back(tmp_path):
+    """``save_jsonl`` leaves U+2028, U+0085 and U+001C unescaped; they end no line."""
+    instance = make_example("sep").instance
+    instance.question = "first\u2028second\x85third\x1cfourth"
+    path = tmp_path / "pool.jsonl"
+    save_jsonl(path, [instance_to_json(instance), instance_to_json(make_example("next").instance)])
+    assert [x.question for x in load_questions(path)][0] == instance.question

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from conftest import gold_record_dict, write_jsonl
+from tracedistill.corpus import DatasetError, SchemaError
 from tracedistill.evalharness import (
     EXHAUSTIVE_LIMIT,
     EvalError,
@@ -240,7 +241,7 @@ def test_id_mismatch_lists_missing_ids(tmp_path):
         [_row("a", ["c"], [])],
         [_row("a", ["c"], []), _row("b", ["c"], [])],
     )
-    with pytest.raises(EvalError) as err:
+    with pytest.raises(DatasetError) as err:
         evaluate(pred, gold)
     assert "b" in str(err.value)
 
@@ -261,7 +262,7 @@ def test_id_mismatch_lists_missing_ids(tmp_path):
 def test_malformed_record_is_an_eval_error_naming_file_and_line(tmp_path, bad):
     rows = [_row("a", ["c"], [("s", "e", True)])]
     pred, gold = _write_pair(tmp_path, rows + [bad], rows + [_row("b", ["c"], [])])
-    with pytest.raises(EvalError) as err:
+    with pytest.raises(SchemaError) as err:
         evaluate(pred, gold)
     assert str(pred) in str(err.value)
     assert "line 2" in str(err.value)
