@@ -328,8 +328,11 @@ def cmd_infer(run):
     }
     backend_failed = sum(1 for r in results if BACKEND_FAILED in r.flags)
     flagged = sum(1 for r in results if r.flags)
+    # however ``--out`` spells it, the manifest holds the file if it lies in the workdir
+    workdir, written = config.workdir.resolve(), out_path.resolve()
+    inside = written.is_relative_to(workdir)
     return (
-        [out_path] if out_path.is_relative_to(config.workdir) else [],
+        [config.workdir / written.relative_to(workdir)] if inside else [],
         {"backend_failed": backend_failed, "stage_seconds": stage_seconds},
         f"ran cascade on {len(results)} instances ({flagged} flagged, "
         f"{backend_failed} failed at the backend) -> {out_path}",

@@ -34,6 +34,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 from . import prompts
@@ -135,6 +136,10 @@ def format_question(instance):
     return "\n".join(lines)
 
 
+# every record of a file repeats the same few keys; the bound keeps a file of
+# distinct keys from growing the memo. Keys come from JSON objects, so all are
+# ``str`` and none collides with an equal key of another type (1, 1.0, True).
+@lru_cache(maxsize=256)
 def _norm_key(key):
     return str(key).strip().lower().replace(" ", "_")
 

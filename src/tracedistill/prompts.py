@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 from . import corpus
 
@@ -157,6 +158,18 @@ def render(subtask, instruction, demos, query):
 
 
 def _dump(value):
+    """``value`` as ``json.dumps(value, ensure_ascii=False, indent=2)`` writes it.
+
+    A non-empty list of plain strings, such as the statements and evidence
+    of every Verifier query, is joined here from the C string encoder that
+    ``json.dumps`` itself uses for each string, in a quarter of the time:
+    ``indent`` makes ``json.dumps`` build its text in pure Python, from
+    nested functions that refer to each other, so each call also leaves a
+    reference cycle for the garbage collector. Any other value, a ``str``
+    subclass included, goes through ``json.dumps``.
+    """
+    if type(value) is list and value and all(type(item) is str for item in value):
+        return "[\n  " + ",\n  ".join(map(encode_basestring, value)) + "\n]"
     return json.dumps(value, ensure_ascii=False, indent=2)
 
 

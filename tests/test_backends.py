@@ -1139,8 +1139,81 @@ def test_fan_out_grows_back_once_its_endpoint_starts_to_wait():
     assert inner.max_inflight_observed == 4
 
 
+@pytest.mark.parametrize("end", ["store", "close"])
+def test_a_row_another_connection_commits_is_served_by_the_next_store_or_close(tmp_path, end):
+    holder_inner = MockBackend()
+    holder = CachingBackend(holder_inner, cache_dir=tmp_path)
+    held = _user("held\n\nQuestion Parsing:")
+    holder.generate(held, PARAMS)
+    holder.generate(held, PARAMS)  # a hit: its read transaction stays open
+    assert holder._db.in_transaction
+    writer = CachingBackend(MockBackend(queue=["written elsewhere"]), cache_dir=tmp_path)
+    shared = _user("shared\n\nQuestion Parsing:")
+    assert writer.generate(shared, PARAMS) == "written elsewhere"
+    writer.close()
+    if end == "store":
+        holder.generate(_user("another\n\nQuestion Parsing:"), PARAMS)
+    else:
+        holder.close()
+    calls = holder_inner.calls["generate"]
+    assert holder.generate(shared, PARAMS) == "written elsewhere"
+    assert holder_inner.calls["generate"] == calls
+    holder.close()
+
+
+def test_close_ends_the_read_transaction_and_leaves_no_side_file(tmp_path):
+    backend = CachingBackend(MockBackend(), cache_dir=tmp_path)
+    messages = _user("snapshot\n\nQuestion Parsing:")
+    backend.generate(messages, PARAMS)
+    backend.generate(messages, PARAMS)
+    assert backend._db.in_transaction
+    backend.close()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["calls.sqlite"]
+    assert backend.cache_hits == 1
+
+
+class FailingConnection:
+    """A store connection whose ``statement`` fails once, as on a damaged file."""
+
+    def __init__(self, db, statement):
+        self.db, self.statement = db, statement
+
+    @property
+    def in_transaction(self):
+        return self.db.in_transaction
+
+    def execute(self, sql, args=()):
+        if sql == self.statement:
+            self.statement = None
+            raise sqlite3.DatabaseError("database disk image is malformed")
+        return self.db.execute(sql, args)
+
+    def close(self):
+        self.db.close()
+
+
+@pytest.mark.parametrize(
+    "statement, end", [("BEGIN", "load"), ("COMMIT", "store"), ("COMMIT", "close")]
+)
+def test_a_failed_begin_or_commit_is_a_cache_error_naming_the_file(tmp_path, statement, end):
+    backend = CachingBackend(MockBackend(), cache_dir=tmp_path)
+    messages = _user("kept\n\nQuestion Parsing:")
+    backend.generate(messages, PARAMS)
+    if statement == "COMMIT":
+        backend.generate(messages, PARAMS)  # opens the read transaction
+    backend._db = FailingConnection(backend._db, statement)
+    with pytest.raises(backends_module.CacheError, match=str(tmp_path / "calls.sqlite")):
+        if end == "close":
+            backend.close()
+        else:
+            backend.generate(_user("new\n\nQuestion Parsing:"), PARAMS)
+    backend.close()
+
+
 def test_a_finished_call_gives_back_its_slot_while_another_thread_runs_a_statement(tmp_path):
     class BlockingConnection:
+        in_transaction = True  # so the statement that blocks is the SELECT itself
+
         def __init__(self):
             self.entered = threading.Event()
             self.release = threading.Event()

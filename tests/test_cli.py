@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import signal
@@ -405,6 +406,31 @@ def test_infer_with_separate_verify_backend(tmp_path):
     verify_stats = stats["backends"]["verifier"]
     assert verify_stats["model"] == "verifier-mock"
     assert verify_stats["inner_calls"]["generate"] > 0
+
+
+def _infer_outputs(tmp_path, monkeypatch, out):
+    """The manifest outputs of an ``infer --out out`` whose config, and so its workdir,
+    is named relative to the working directory."""
+    make_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["infer", "--config", "config.json", "--out", out]) == 0
+    manifest = tmp_path / "work" / "manifests" / "infer.json"
+    return json.loads(manifest.read_text(encoding="utf-8"))["outputs"]
+
+
+def test_infer_out_that_climbs_out_of_the_workdir_is_left_out_of_the_manifest(
+    tmp_path, monkeypatch
+):
+    assert _infer_outputs(tmp_path, monkeypatch, "work/../outside_preds.jsonl") == {}
+    assert (tmp_path / "outside_preds.jsonl").is_file()
+
+
+def test_infer_out_spelled_as_an_absolute_path_into_the_workdir_is_in_the_manifest(
+    tmp_path, monkeypatch
+):
+    out = tmp_path / "work" / "custom_preds.jsonl"
+    outputs = _infer_outputs(tmp_path, monkeypatch, str(out))
+    assert outputs == {"custom_preds.jsonl": hashlib.sha256(out.read_bytes()).hexdigest()}
 
 
 def test_infer_rejects_pool_without_cot(tmp_path, capsys):

@@ -19,6 +19,12 @@ errors that name the file and line); ``json.loads`` is called elsewhere
 only by ``config.load_config``, which reads one config object, and by
 ``retrieval.load_index``, which reads the index header and goes when the
 benchmark tracer stops naming it.
+``json.dumps`` with ``indent`` is called only by ``prompts._dump``, for
+values other than a non-empty list of strings, and by ``cli._json_text``,
+which writes manifests and reports: ``indent`` makes ``json.dumps`` build
+its text in pure Python, several times slower than the C string encoder
+that ``_dump`` joins for the statement and evidence lists of every
+Verifier prompt.
 Every module-level function and class is named somewhere in the package
 outside its own definition, so no production helper serves only tests;
 ``retrieval.load_index`` is the one exception, kept while the benchmark
@@ -119,14 +125,17 @@ THREADS = {"ThreadPoolExecutor", "Thread"}
 SEMAPHORES = {"Semaphore", "BoundedSemaphore"}
 
 
-def constructions(source, names):
-    """(enclosing function, line) of each call to one of ``names``, bare or as an attribute."""
+def constructions(source, names, keyword=None):
+    """(enclosing function, line) of each call to one of ``names``, bare or as an attribute;
+    with ``keyword``, only the calls that pass that keyword argument."""
     found = []
     for function, node in nodes_by_function(source):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in names:
+            if name in names and (
+                keyword is None or any(k.arg == keyword for k in node.keywords)
+            ):
                 found.append((function, node.lineno))
     return found
 
@@ -262,6 +271,30 @@ JSON_TEXT_READERS = {
 def test_only_read_records_decodes_dataset_json():
     """One reader holds the dataset file rule: no module decodes a JSON file of its own."""
     assert constructions_outside({"loads", "load"}, JSON_TEXT_READERS) == {}
+
+
+def test_detector_finds_calls_by_keyword():
+    source = (
+        "import json\n"
+        "def f(v):\n"
+        "    json.dumps(v, indent=2)\n"
+        "    json.dumps(v, ensure_ascii=False)\n"
+        "    return dumps(v, sort_keys=True, indent=1)\n"
+    )
+    assert constructions(source, {"dumps"}, keyword="indent") == [("f", 3), ("f", 5)]
+
+
+# the functions that may write indented JSON; the reason is in the module docstring
+INDENTED_JSON_WRITERS = {("prompts.py", "_dump"), ("cli.py", "_json_text")}
+
+
+def test_only_dump_fallback_and_json_text_indent_json():
+    """Prompt blocks reach the pure-Python encoder, which ``indent`` forces, only as a fallback."""
+
+    def indented_dumps(source, names):
+        return constructions(source, names, keyword="indent")
+
+    assert constructions_outside({"dumps"}, INDENTED_JSON_WRITERS, find=indented_dumps) == {}
 
 
 def test_only_run_read_raises_missing_artifact():

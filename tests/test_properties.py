@@ -3,6 +3,8 @@
 `extract_json`, `parse_qp` and `parse_ucot` read whatever a model returned,
 so every input must end in a value or a `ParseFailure`;
 `canonicalize_verification` must end in a bool or a `SchemaError`.
+`prompts._dump` writes every value byte for byte as `json.dumps` with
+`indent=2` does, on its fast path for lists of strings and off it.
 """
 
 import json
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracedistill.corpus import ReasoningTrace, SchemaError, canonicalize_verification
+from tracedistill.prompts import _dump
 from tracedistill.synthesis import ParseFailure, extract_json, parse_qp, parse_ucot
 
 # keys the parsers look for, mixed with arbitrary ones, so the schema paths run
@@ -146,3 +149,40 @@ NEAR_JSON = st.lists(
 def test_extract_json_matches_the_reference_scan(raw):
     # repr, not ==, so a NaN or a -0.0 value must match too
     assert repr(extract_json(raw)) == repr(_extract_json_reference(raw))
+
+
+class Label(str):
+    """A ``str`` subclass: ``_dump`` leaves it to ``json.dumps``."""
+
+
+# what the string encoder escapes or passes through: quotes, backslashes, control
+# characters, line separators, non-BMP characters and lone surrogates
+AWKWARD = st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\U0001f600", "\ud800", "\udfff"]
+)
+STRINGS = st.text(alphabet=st.one_of(AWKWARD, st.characters()), max_size=12)
+DUMPED = st.one_of(
+    st.lists(STRINGS, max_size=6),
+    st.lists(STRINGS.map(Label), min_size=1, max_size=3),
+    st.lists(st.one_of(STRINGS, STRINGS.map(Label), JSON_VALUES), max_size=4),
+    JSON_VALUES,
+)
+
+
+@SETTINGS
+@given(DUMPED)
+@example([])
+@example([""])
+@example(["", ""])
+@example({"statement": "a", "evidence": "b"})
+@example(1.5)
+def test_dump_writes_what_json_dumps_writes(value):
+    assert _dump(value) == json.dumps(value, ensure_ascii=False, indent=2)
+
+
+def test_dump_joins_a_list_of_strings_without_json_dumps(monkeypatch):
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", pure_python_encoder)
+    assert _dump(["a", 'say "b"']) == '[\n  "a",\n  "say \\"b\\""\n]'
