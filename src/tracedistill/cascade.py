@@ -10,7 +10,8 @@ output:
     evidence    = Verifier(question, statements)          # evidence pass
     verdicts    = Verifier(question, statements, evidence)  # verify pass
 
-Every stage goes through `run_stage`: render the prompt, generate, extract
+Each stage renders its prompt (`prompts.render_prompt`, which derives the
+input from the subtask) and sends it through `run_stage`: generate, extract
 the JSON array. The Parser and Decomposer reprompt once when they get no
 non-empty array of strings, and the evidence pass reprompts once when its
 array does not have one entry per statement; the verify pass never
@@ -82,17 +83,16 @@ class CascadeOutput:
     error: str = ""
 
 
-def run_stage(subtask, instruction, query, demos, backend, params, problem=None):
-    """Render one stage's prompt, generate, and extract its JSON array.
+def run_stage(prompt, backend, params, problem=None):
+    """Send one stage's prompt (`prompts.render_prompt`) and extract its JSON array.
 
     Returns (array or None, StageResult). When `problem(array)` names a
-    defect, the prompt is sent once more with REPROMPT_SUFFIX and the output
-    header appended; a retry that parses replaces the first answer. The
-    stage is marked failed when no answer parsed; callers may tighten that.
+    defect, the prompt is sent again with REPROMPT_SUFFIX and its last line,
+    the output header, appended; a retry that parses replaces the first
+    answer. A stage with no parsed answer is failed; callers may tighten that.
     """
     stage = StageResult(started=time.monotonic())
-    prompt = text = prompts.render(subtask, instruction, demos, query)
-    value = None
+    text, value = prompt, None
     for attempt in range(2):
         raw = backend.generate([ChatMessage(role="user", content=text)], params)
         stage.raw.append(raw)
@@ -102,7 +102,7 @@ def run_stage(subtask, instruction, query, demos, backend, params, problem=None)
         defect = problem(value) if problem is not None and attempt == 0 else None
         if not defect:
             break
-        header = prompts.OUTPUT_HEADERS[subtask]
+        header = prompt.rsplit("\n", 1)[-1]
         text = "\n".join([prompt, "", REPROMPT_SUFFIX.format(problem=defect), header])
     stage.failed = value is None
     stage.finished = time.monotonic()
@@ -120,8 +120,8 @@ def _no_strings(value):
     return None if _strings(value) else "no non-empty JSON array of strings found"
 
 
-def _string_stage(subtask, instruction, query, demos, backend, params):
-    value, stage = run_stage(subtask, instruction, query, demos, backend, params, _no_strings)
+def _string_stage(prompt, backend, params):
+    value, stage = run_stage(prompt, backend, params, _no_strings)
     items = _strings(value)
     stage.failed = not items
     return items, stage
@@ -130,16 +130,16 @@ def _string_stage(subtask, instruction, query, demos, backend, params):
 def parse_question(instance, demos, backend, params):
     """Stage 1: extract the condition list; one reprompt, then a flagged
     empty list."""
-    query = prompts.question_block(instance)
-    return _string_stage("QP", prompts.QP_INSTRUCTION, query, demos, backend, params)
+    prompt = prompts.render_prompt("QP", prompts.QP_INSTRUCTION, demos, instance)
+    return _string_stage(prompt, backend, params)
 
 
 def decompose_cot(instance, demos, backend, params):
     """Stage 2: split the chain of thought into ordered statements."""
     if not instance.cot or not instance.cot.strip():
         raise CascadeError(f"instance {instance.id!r} carries no CoT text to decompose")
-    query = prompts.question_block(instance, cot=True)
-    return _string_stage("CP", prompts.CP_INSTRUCTION, query, demos, backend, params)
+    prompt = prompts.render_prompt("CP", prompts.CP_INSTRUCTION, demos, instance)
+    return _string_stage(prompt, backend, params)
 
 
 def extract_evidence(instance, statements, demos, backend, params):
@@ -157,10 +157,10 @@ def extract_evidence(instance, statements, demos, backend, params):
         got = "nothing parseable" if value is None else f"{len(value)} entries"
         return f"expected exactly {len(statements)} evidence strings, got {got}"
 
-    query = prompts.verifier_query(instance, statements)
-    value, stage = run_stage(
-        "CV_evidence", prompts.CV_EVIDENCE_INSTRUCTION, query, demos, backend, params, problem
+    prompt = prompts.render_prompt(
+        "CV_evidence", prompts.CV_EVIDENCE_INSTRUCTION, demos, instance, statements
     )
+    value, stage = run_stage(prompt, backend, params, problem)
     evidence = [str(e) for e in (value or [])[: len(statements)]]
     flags = [f"evidence_missing:{slot + 1}" for slot in range(len(evidence), len(statements))]
     evidence += [""] * len(flags)
@@ -174,10 +174,10 @@ def verify_steps(instance, statements, evidence, demos, backend, params):
     """
     if not statements or len(statements) != len(evidence):
         raise CascadeError("verify_steps requires at least one statement, aligned with evidence")
-    query = prompts.verifier_query(instance, statements, evidence)
-    values, stage = run_stage(
-        "CV_verify", prompts.CV_VERIFY_INSTRUCTION, query, demos, backend, params
+    prompt = prompts.render_prompt(
+        "CV_verify", prompts.CV_VERIFY_INSTRUCTION, demos, instance, statements, evidence
     )
+    values, stage = run_stage(prompt, backend, params)
     verdicts = []
     flags = []
     for i in range(len(statements)):

@@ -24,7 +24,9 @@ Failures print a machine-readable JSON error on stderr and exit nonzero.
 Every dataset file is read through ``corpus.read_records``, so bad data
 exits 5 naming the file and line. A path the user names (``--pred``,
 ``--gold``, ``--data``, the config's paths) that is not a file exits 2; a
-missing artifact of an earlier stage exits 3 and names that stage.
+missing artifact of an earlier stage exits 3 and names that stage. Exit 6,
+with nothing written, when every pool question (synthesize), structural
+survivor (filter) or instance (infer) failed at the backend.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -349,7 +352,7 @@ def cmd_eval(run):
     report = evaluate(pred, run.read("gold", gold), config.policy)
     report_path = config.workdir / "eval_report.json"
     with replacing(report_path) as fh:
-        fh.write(_json_text(report.to_json()))
+        fh.write(_json_text(asdict(report)))
     return [report_path], {}, format_report(report)
 
 

@@ -68,15 +68,6 @@ class EvalReport:
     reason_f1: float
     per_instance: list[dict] = field(default_factory=list)
 
-    def to_json(self):
-        return {
-            "ques_f1": self.ques_f1,
-            "stmt_f1": self.stmt_f1,
-            "evid_f1": self.evid_f1,
-            "reason_f1": self.reason_f1,
-            "per_instance": self.per_instance,
-        }
-
 
 def normalize_text(text, policy):
     if policy.lowercase:

@@ -6,7 +6,7 @@ every structural survivor twice with a reward backend, once with retrieved
 demonstrations in the context and once without, and keeps records whose
 strategy score clears a strict threshold (default 0). Records the reward
 backend fails on are excluded from all reward strategies rather than
-retried forever.
+retried forever, and a run where all of them failed is a ``BackendError``.
 
 Every decision is emitted as an audit line so dataset sizes can be traced
 back to individual drops.
@@ -91,10 +91,10 @@ def build_reward_prompts(instance, hits, cards, instruction=None):
     passed to the reward call separately.
     """
     instruction = instruction or prompts.UCOT_INSTRUCTION
-    query = prompts.question_block(instance, cot=True)
 
     def messages(demos):
-        return [ChatMessage(role="user", content=prompts.render("UCoT", instruction, demos, query))]
+        prompt = prompts.render_prompt("UCoT", instruction, demos, instance)
+        return [ChatMessage(role="user", content=prompt)]
 
     return messages(prompts.demo_pairs_ucot(hits, cards)), messages([])
 
@@ -158,7 +158,8 @@ def run_filter(records, index, cards, reward_backend, k=5,
     """Structural stage, reward stage, strategy subsets, audit trail.
 
     Reward calls happen only for structural survivors; scoring failures
-    mark the record unscored and exclude it from every reward strategy.
+    mark the record unscored and exclude it from every reward strategy. When
+    every survivor failed to score, ``BackendError`` is raised.
     """
     outcomes = []
     survivors = []
@@ -191,6 +192,8 @@ def run_filter(records, index, cards, reward_backend, k=5,
                 )
             )
 
+    if survivors and not scored:
+        raise BackendError(f"all {len(survivors)} structural survivors failed at the backend")
     kept = {STRATEGY_STRUCTURE: list(survivors)}
     for strategy in (STRATEGY_ZERO, STRATEGY_FEW, STRATEGY_AVERAGE):
         subset = apply_strategy(scored, strategy, threshold)

@@ -61,8 +61,8 @@ class InductionConfig:
 
 
 def _candidate_messages(candidate_text, example, subtask):
-    query = prompts.question_block(example.instance, cot=subtask == "UCoT")
-    return [ChatMessage(role="user", content=prompts.render(subtask, candidate_text, [], query))]
+    prompt = prompts.render_prompt(subtask, candidate_text, [], example.instance)
+    return [ChatMessage(role="user", content=prompt)]
 
 
 def generate_candidates(config, seed_examples, golds, backend):
@@ -254,15 +254,6 @@ def induce_prompt(config, seed_examples, backend, judge_backend=None, reward_bac
     report = {
         "config": asdict(config),
         "winner": winner.text,
-        "candidates": [
-            {
-                "text": c.text,
-                "s_gen": c.s_gen,
-                "s_pref": c.s_pref,
-                "combined": c.combined,
-                "gen_method": c.gen_method,
-            }
-            for c in candidates
-        ],
+        "candidates": [asdict(c) for c in candidates],
     }
     return winner, report

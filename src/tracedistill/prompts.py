@@ -1,20 +1,21 @@
 """Instruction templates and the one place that turns data into prompt text.
 
 Rendered prompts use ###Instruction### / ###Examples### / ###Input###
-section markers. `render` assembles a prompt for one subtask from an
-instruction, demonstration cards and a query; the last line of every
-rendered prompt is the output header for the artifact being requested
-(e.g. "Question Parsing:"), which doubles as the template cue for the
-deterministic mock backend.
+section markers. `render_prompt` builds every subtask prompt from the
+subtask, an instruction, demonstration cards and the instance; the last
+line of every rendered prompt is the output header for the artifact being
+requested (e.g. "Question Parsing:"), which doubles as the template cue for
+the deterministic mock backend.
 
-This module owns the cards and the queries. A card is an (input, output)
-pair of text blocks for one retrieved seed example: `demo_pairs_qp` and
-`demo_pairs_ucot` feed synthesis and reward scoring, and `demo_pairs_full`
-is the block every cascade stage shares byte for byte. All of them are
-built from `question_block` and the seed's gold QP and steps blocks.
-`seed_cards` renders each seed's three cards once, so a command that builds
-it up front only looks cards up per prompt. The induction meta-prompts
-(reverse and judge) live here too.
+The subtask alone decides what the input block shows (`_query`): the
+question with its choices; its CoT for UCoT and CP; the statements for both
+Verifier passes; the evidence for the verify pass. A card is an (input,
+output) pair of text blocks for one retrieved seed example, its input built
+by the same rule: `demo_pairs_qp` and `demo_pairs_ucot` feed synthesis and
+reward scoring, and `demo_pairs_full` is the block every cascade stage
+shares byte for byte. `seed_cards` renders each seed's three cards once, so
+a command that builds it up front only looks cards up per prompt. The
+induction meta-prompts (reverse and judge) live here too.
 """
 
 from __future__ import annotations
@@ -134,27 +135,23 @@ JUDGE_INSTRUCTION = (
 JUDGE_ANSWER_LINE = "Answer with exactly one of: A, B, tie."
 
 
-def render_prompt(instruction, demonstrations, query, output_header, notice=None):
-    """Assemble a full prompt from its sections.
+def render_prompt(subtask, instruction, demos, instance, statements=None, evidence=None):
+    """The full prompt for one subtask; its input block is ``_query``'s.
 
-    `demonstrations` is a list of (input_block, output_block) strings,
-    already rendered, in the order they should appear.
+    ``demos`` is a list of (input_block, output_block) strings, already
+    rendered, in the order they should appear. UCoT prompts carry the
+    double-quote notice; an unknown subtask is a ``KeyError``.
     """
     parts = [SECTION_INSTRUCTION, instruction.strip()]
-    if notice:
-        parts += ["", notice]
-    if demonstrations:
+    if subtask == "UCoT":
+        parts += ["", DOUBLE_QUOTE_NOTICE]
+    if demos:
         parts += ["", SECTION_EXAMPLES]
-        for demo_in, demo_out in demonstrations:
+        for demo_in, demo_out in demos:
             parts += ["", demo_in.strip(), "", demo_out.strip()]
-    parts += ["", SECTION_INPUT, "", query.strip(), "", output_header]
+    query = _query(subtask, instance, statements, evidence).strip()
+    parts += ["", SECTION_INPUT, "", query, "", OUTPUT_HEADERS[subtask]]
     return "\n".join(parts)
-
-
-def render(subtask, instruction, demos, query):
-    """The full prompt for one subtask; UCoT prompts carry the double-quote notice."""
-    notice = DOUBLE_QUOTE_NOTICE if subtask == "UCoT" else None
-    return render_prompt(instruction, demos, query, OUTPUT_HEADERS[subtask], notice=notice)
 
 
 def _dump(value):
@@ -177,10 +174,18 @@ def _cot_suffix(instance):
     return f"\n\nCoT:\n{instance.cot}" if instance.cot else ""
 
 
-def question_block(instance, cot=False):
-    """The question with its labelled choices, plus the CoT when asked for and present."""
+def _query(subtask, instance, statements=None, evidence=None):
+    """What a ``subtask`` prompt's input shows: the question with its choices,
+    then its CoT (UCoT, CP), the statements (both CV passes) and the
+    evidence (CV_verify)."""
     text = f"Question:\n{corpus.format_question(instance)}"
-    return text + _cot_suffix(instance) if cot else text
+    if subtask in ("UCoT", "CP"):
+        text += _cot_suffix(instance)
+    if subtask in ("CV_evidence", "CV_verify"):
+        text += f"\n\nStatements:\n{_dump(statements)}"
+    if subtask == "CV_verify":
+        text += f"\n\nEvidence:\n{_dump(evidence)}"
+    return text
 
 
 def gold_output(example, subtask):
@@ -206,10 +211,10 @@ class Cards:
 def _render_cards(example):
     """Render a seed example's three cards; each gold block is dumped once."""
     qp, ucot = _answer_block(example, "QP"), _answer_block(example, "UCoT")
-    question = question_block(example.instance)
+    question = _query("QP", example.instance)
     return Cards(
         qp=(question, qp),
-        ucot=(question_block(example.instance, cot=True), ucot),
+        ucot=(_query("UCoT", example.instance), ucot),
         full=(question, f"{qp}{_cot_suffix(example.instance)}\n\n{ucot}"),
     )
 
@@ -241,14 +246,6 @@ def demo_pairs_full(hits, cards):
     return [c.full for c in _cards(hits, cards)]
 
 
-def verifier_query(instance, statements, evidence=None):
-    """Query of the Verifier's evidence pass, or of its verify pass when given evidence."""
-    text = f"{question_block(instance)}\n\nStatements:\n{_dump(statements)}"
-    if evidence is not None:
-        text += f"\n\nEvidence:\n{_dump(evidence)}"
-    return text
-
-
 def reverse_prompt(instruction, shown, subtask):
     """Meta-prompt asking for the instruction that maps each input to its gold output.
 
@@ -256,8 +253,7 @@ def reverse_prompt(instruction, shown, subtask):
     """
     parts = [SECTION_INSTRUCTION, instruction.strip(), "", SECTION_EXAMPLES]
     for example, gold in shown:
-        parts += ["", question_block(example.instance, cot=subtask == "UCoT"), "",
-                  "Output:\n" + gold]
+        parts += ["", _query(subtask, example.instance), "", "Output:\n" + gold]
     parts += ["", INDUCTION_HEADER]
     return "\n".join(parts)
 

@@ -30,8 +30,9 @@ from .corpus import (
     parse_trace,
     trace_to_json,
     _index_keys,
+    _require_text,
 )
-from .prompts import demo_pairs_qp, demo_pairs_ucot, question_block
+from .prompts import demo_pairs_qp, demo_pairs_ucot
 from .retrieval import top_k
 
 log = logging.getLogger(__name__)
@@ -161,13 +162,12 @@ def synthesize(instance, index, cards, backend, qp_instruction=None,
     """
     params = params or GenParams()
     hits = top_k(index, instance.question, k, exclude={instance.id})
-    qp_prompt = prompts.render(
-        "QP", qp_instruction or prompts.QP_INSTRUCTION,
-        demo_pairs_qp(hits, cards), question_block(instance),
+    qp_prompt = prompts.render_prompt(
+        "QP", qp_instruction or prompts.QP_INSTRUCTION, demo_pairs_qp(hits, cards), instance
     )
-    ucot_prompt = prompts.render(
-        "UCoT", ucot_instruction or prompts.UCOT_INSTRUCTION,
-        demo_pairs_ucot(hits, cards), question_block(instance, cot=True),
+    ucot_prompt = prompts.render_prompt(
+        "UCoT", ucot_instruction or prompts.UCOT_INSTRUCTION, demo_pairs_ucot(hits, cards),
+        instance,
     )
     qp_raw = backend.generate([ChatMessage(role="user", content=qp_prompt)], params)
     ucot_raw = backend.generate([ChatMessage(role="user", content=ucot_prompt)], params)
@@ -191,7 +191,8 @@ def synthesize(instance, index, cards, backend, qp_instruction=None,
 
 def synthesize_batch(pool, index, cards, backend, qp_instruction=None,
                      ucot_instruction=None, k=5, params=None):
-    """Synthesize a pool concurrently; returns (records sorted by id, errors)."""
+    """Synthesize a pool concurrently; returns (records sorted by id, errors), and
+    raises ``BackendError`` when every question failed at the backend."""
 
     def job(instance):
         try:
@@ -207,6 +208,8 @@ def synthesize_batch(pool, index, cards, backend, qp_instruction=None,
     results = fan_out(backend, job, pool)
     records = sorted((r for r, _ in results if r is not None), key=lambda r: r.instance.id)
     errors = sorted((e for _, e in results if e is not None), key=lambda e: e["id"])
+    if errors and not records:
+        raise BackendError(f"every question failed at the backend; first: {errors[0]['error']}")
     return records, errors
 
 
@@ -223,7 +226,8 @@ def record_to_json(record):
 
 
 def record_from_json(fields):
-    """A ``SynthesizedRecord`` from one record of ``synthesized.jsonl``, keys normalised."""
+    """A ``SynthesizedRecord`` from one record of ``synthesized.jsonl``, keys normalised.
+    An ``ok`` record carries both parses and the non-blank ``ucot_raw`` that filter scores."""
     instance = parse_instance(fields)
     qp = fields.get("question_parsing")
     if qp is not None:
@@ -236,10 +240,14 @@ def record_from_json(fields):
     status = fields.get("parse_status")
     if status not in PARSE_STATUSES:
         raise SchemaError(f"unknown parse_status {status!r}", path="parse_status")
+    ok = status == STATUS_OK
+    for path, value in (("question_parsing", qp), ("cot_parsing", trace)):
+        if ok and value is None:
+            raise SchemaError("required when parse_status is ok", path=path)
     return SynthesizedRecord(
         instance=instance,
-        qp_raw=fields.get("qp_raw", ""),
-        ucot_raw=fields.get("ucot_raw", ""),
+        qp_raw=_require_text(fields.get("qp_raw", ""), "qp_raw", allow_blank=True),
+        ucot_raw=_require_text(fields.get("ucot_raw", ""), "ucot_raw", allow_blank=not ok),
         qp=qp,
         trace=trace,
         parse_status=status,

@@ -598,6 +598,49 @@ def test_null_completion_for_one_question_skips_only_that_record_in_synthesize(
     assert errors[0]["error"].startswith("malformed chat response")
 
 
+def _refused_endpoint(tmp_path, monkeypatch, role):
+    """A config whose ``role`` endpoint refuses every connection, as a closed port does."""
+
+    def transport(url, payload):
+        raise backends_module.TransientBackendError(f"connection refused: {url}")
+
+    monkeypatch.setattr(backends_module, "RequestsTransport", lambda *args: transport)
+    refused = {"kind": "http", "model": "remote", "endpoint": "http://x.test", "retry_budget": 0}
+    return make_config(tmp_path, backend_overrides={role: refused})
+
+
+def test_synthesize_with_every_question_failed_at_the_backend_exits_6(
+    tmp_path, capsys, monkeypatch
+):
+    workdir = tmp_path / "work"
+    assert main(["induce", "--config", str(make_config(tmp_path))]) == 0
+    config = _refused_endpoint(tmp_path, monkeypatch, "generation")
+    capsys.readouterr()
+    assert main(["synthesize", "--config", str(config)]) == 6
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "BackendError"
+    assert err["message"].startswith("every question failed at the backend")
+    assert not (workdir / "synthesized.jsonl").exists()
+    assert not (workdir / "manifests" / "synthesize.json").exists()
+
+
+def test_filter_with_every_survivor_failed_at_the_reward_backend_exits_6(
+    tmp_path, capsys, monkeypatch
+):
+    workdir = tmp_path / "work"
+    config = make_config(tmp_path)
+    assert main(["induce", "--config", str(config)]) == 0
+    assert main(["synthesize", "--config", str(config)]) == 0
+    assert any(r["parse_status"] == "ok" for r in _read_jsonl(workdir / "synthesized.jsonl"))
+    config = _refused_endpoint(tmp_path, monkeypatch, "reward")
+    capsys.readouterr()
+    assert main(["filter", "--config", str(config)]) == 6
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "BackendError"
+    assert err["message"].endswith("structural survivors failed at the backend")
+    assert not (workdir / "filtered_average.jsonl").exists()
+
+
 @pytest.mark.parametrize("role", ["verifier_verify", "verifer"])
 def test_unknown_backend_role_is_a_config_error(tmp_path, capsys, role):
     config = make_config(tmp_path, backend_overrides={role: _mock_profile("extra-mock")})
@@ -753,7 +796,10 @@ def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
 
 
-@pytest.mark.parametrize("damage", ["torn", "not-an-object", "bad-field"])
+@pytest.mark.parametrize(
+    "damage",
+    ["torn", "not-an-object", "bad-field", "ucot-raw-number", "cot-parsing-null", "ucot-raw-empty"],
+)
 def test_filter_rejects_a_bad_synthesized_line_by_number(tmp_path, capsys, damage):
     config = make_config(tmp_path)
     synth = tmp_path / "work" / "synthesized.jsonl"
@@ -765,7 +811,15 @@ def test_filter_rejects_a_bad_synthesized_line_by_number(tmp_path, capsys, damag
     elif damage == "not-an-object":
         lines.append("[1, 2]")
     else:
-        lines[-1] = json.dumps({**json.loads(lines[-1]), "parse_failures": 5})
+        record = json.loads(lines[-1])
+        assert record["parse_status"] == "ok"
+        key, value = {
+            "bad-field": ("parse_failures", 5),
+            "ucot-raw-number": ("ucot_raw", 5),
+            "cot-parsing-null": ("cot_parsing", None),
+            "ucot-raw-empty": ("ucot_raw", ""),
+        }[damage]
+        lines[-1] = json.dumps({**record, key: value})
     synth.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["filter", "--config", str(config)]) == 5

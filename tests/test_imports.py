@@ -25,6 +25,10 @@ which writes manifests and reports: ``indent`` makes ``json.dumps`` build
 its text in pure Python, several times slower than the C string encoder
 that ``_dump`` joins for the statement and evidence lists of every
 Verifier prompt.
+Only ``prompts._query`` names ``corpus.format_question``, so the subtask
+alone decides what a prompt's input shows (the question, its CoT, the
+statements, the evidence); ``corpus._sft_rows`` names it too, for the SFT
+export's own input format.
 Every module-level function and class is named somewhere in the package
 outside its own definition, so no production helper serves only tests;
 ``retrieval.load_index`` is the one exception, kept while the benchmark
@@ -295,6 +299,40 @@ def test_only_dump_fallback_and_json_text_indent_json():
         return constructions(source, names, keyword="indent")
 
     assert constructions_outside({"dumps"}, INDENTED_JSON_WRITERS, find=indented_dumps) == {}
+
+
+def references(source, names):
+    """(enclosing function, line) of each mention of one of ``names``, bare or as an
+    attribute, called or passed on; a definition or an import is not a mention."""
+    found = []
+    for function, node in nodes_by_function(source):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in names:
+            found.append((function, node.lineno))
+    return found
+
+
+def test_detector_finds_references_called_or_not():
+    source = (
+        "from .corpus import format_question\n"
+        "def _sft_rows(example):\n"
+        "    return format_question(example.instance)\n"
+        "def f(xs):\n"
+        "    return list(map(corpus.format_question, xs))\n"
+        "def format_question(x):\n"
+        "    return 'format_question'\n"
+    )
+    assert references(source, {"format_question"}) == [("_sft_rows", 3), ("f", 5)]
+
+
+# the functions that may show a question; the reason is in the module docstring
+QUESTION_FORMATTERS = {("prompts.py", "_query"), ("corpus.py", "_sft_rows")}
+
+
+def test_only_prompts_query_and_sft_rows_format_questions():
+    """Every prompt's input block comes from ``prompts._query``, decided by the subtask."""
+    found = constructions_outside({"format_question"}, QUESTION_FORMATTERS, find=references)
+    assert found == {}
 
 
 def test_only_run_read_raises_missing_artifact():

@@ -92,7 +92,9 @@ def test_score_gen_single_example_equals_direct_score():
     query = f"Question:\n{seed[0].instance.question}\n" + "\n".join(
         f"{label}. {text}" for label, text in zip("ABCD", seed[0].instance.options)
     )
-    messages = [ChatMessage(role="user", content=prompts.render("QP", candidate, [], query))]
+    prompt = prompts.render_prompt("QP", candidate, [], seed[0].instance)
+    assert prompt.endswith(f"###Input###\n\n{query}\n\n{prompts.OUTPUT_HEADERS['QP']}")
+    messages = [ChatMessage(role="user", content=prompt)]
     direct = backend.score_completion(messages, prompts.gold_output(seed[0], "QP"))
     assert method == "logprob"
     assert value == direct

@@ -116,14 +116,12 @@ def _hits_and_seeds(k=2):
 
 def _qp_prompt(instance, hits, seed_by_id):
     demos = demo_pairs_qp(hits, seed_by_id)
-    query = prompts.question_block(instance)
-    return demos, prompts.render("QP", prompts.QP_INSTRUCTION, demos, query)
+    return demos, prompts.render_prompt("QP", prompts.QP_INSTRUCTION, demos, instance)
 
 
 def _ucot_prompt(instance, hits, seed_by_id):
     demos = demo_pairs_ucot(hits, seed_by_id)
-    query = prompts.question_block(instance, cot=True)
-    return demos, prompts.render("UCoT", prompts.UCOT_INSTRUCTION, demos, query)
+    return demos, prompts.render_prompt("UCoT", prompts.UCOT_INSTRUCTION, demos, instance)
 
 
 def test_build_qp_prompt_demo_rank_order_and_verbatim_conditions():
@@ -178,7 +176,7 @@ def test_demo_count_is_min_k_and_pool_after_exclusion():
 
 def test_render_rejects_unknown_subtask():
     with pytest.raises(KeyError):
-        prompts.render("nope", "x", [], "q")
+        prompts.render_prompt("nope", "x", [], gold_instance())
 
 
 def test_resolve_status_precedence():
