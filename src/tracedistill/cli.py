@@ -15,7 +15,10 @@ infer each instance's per-stage seconds), then, last, its manifest
 <workdir>/manifests/<cmd>.json (config hash, input hashes, output hashes,
 format versions); a run that fails writes neither. Manifests contain no
 timestamps: rerunning a subcommand on unchanged inputs reproduces it byte
-for byte. The on-disk call cache is the only state reused across runs, and
+for byte. Manifests, stats, induce reports and eval_report.json are each
+one JSON document that ``write_json`` encodes straight into its file, and
+every hash is taken a block at a time, so no whole file or document is held
+as one string. The on-disk call cache is the only state reused across runs, and
 every subcommand closes its cache connections before it returns; index.bin
 is written by synthesize and read by no stage. Concurrent invocations
 against one working directory are rejected: each holds an exclusive flock
@@ -33,11 +36,9 @@ from __future__ import annotations
 
 import argparse
 import fcntl
-import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -57,6 +58,7 @@ from .corpus import (
     replacing,
     save_jsonl,
     seed_to_json,
+    sha256_file,
 )
 from .evalharness import evaluate, format_report
 from .filtering import STRATEGIES, run_filter, to_training_example
@@ -90,12 +92,12 @@ EXIT_CODES = {
 }
 
 
-def _sha256_file(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _json_text(value):
-    return json.dumps(value, sort_keys=True, ensure_ascii=False, indent=1) + "\n"
+def write_json(path, value):
+    """Write ``value`` to ``path`` as one sorted, indented JSON document and a
+    newline, encoded straight into the file rather than built as one string."""
+    with replacing(path) as fh:
+        json.dump(value, fh, sort_keys=True, ensure_ascii=False, indent=1)
+        fh.write("\n")
 
 
 @contextmanager
@@ -141,14 +143,13 @@ def write_manifest(config, command, inputs, outputs):
             "sft": SFT_HEADER,
             "index": INDEX_FORMAT,
         },
-        "inputs": {name: _sha256_file(path) for name, path in sorted(inputs.items())},
+        "inputs": {name: sha256_file(path) for name, path in sorted(inputs.items())},
         "outputs": {
-            str(Path(path).relative_to(config.workdir)): _sha256_file(path)
+            str(Path(path).relative_to(config.workdir)): sha256_file(path)
             for path in sorted(outputs, key=str)
         },
     }
-    with replacing(config.workdir / "manifests" / f"{command}.json") as fh:
-        fh.write(_json_text(manifest))
+    write_json(config.workdir / "manifests" / f"{command}.json", manifest)
 
 
 def write_run_stats(config, command, backends, **counts):
@@ -165,8 +166,7 @@ def write_run_stats(config, command, backends, **counts):
         "backends": per_role,
         **counts,
     }
-    with replacing(config.workdir / "logs" / f"{command}_stats.json") as fh:
-        fh.write(_json_text(payload))
+    write_json(config.workdir / "logs" / f"{command}_stats.json", payload)
 
 
 class Run:
@@ -237,8 +237,7 @@ def cmd_induce(run):
         report_path = text_path.with_suffix(".json")
         with replacing(text_path) as fh:
             fh.write(winner.text + "\n")
-        with replacing(report_path) as fh:
-            fh.write(_json_text(report))
+        write_json(report_path, report)
         outputs += [text_path, report_path]
     return outputs, {}, f"induced prompts for QP and UCoT -> {config.workdir / 'prompts'}"
 
@@ -351,8 +350,7 @@ def cmd_eval(run):
         raise ConfigError("no gold file: pass --gold or set paths.gold in the config")
     report = evaluate(pred, run.read("gold", gold), config.policy)
     report_path = config.workdir / "eval_report.json"
-    with replacing(report_path) as fh:
-        fh.write(_json_text(asdict(report)))
+    write_json(report_path, vars(report))
     return [report_path], {}, format_report(report)
 
 

@@ -15,13 +15,13 @@ fan-out that calls it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .backends import BackendProfile, ConfigError, GenParams, is_finite_number, make_backend
 from .cascade import AGENTS
+from .corpus import sha256_file
 from .evalharness import EvalError, MatchPolicy
 from .filtering import STRATEGIES
 from .induction import NORMALIZATIONS
@@ -50,10 +50,6 @@ class RunConfig:
     policy: MatchPolicy
     profiles: dict[str, BackendProfile]
     config_hash: str
-
-
-def config_sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _resolve(base, value):
@@ -186,7 +182,7 @@ def load_config(path):
         gold_path=gold_path,
         policy=_parse_policy(raw.get("policy") or {}),
         profiles=profiles,
-        config_hash=config_sha256(path),
+        config_hash=sha256_file(path),
     )
 
 

@@ -5,11 +5,15 @@ records, predictions and gold) goes through ``read_records``, which holds
 the one file rule: a file is UTF-8, and is either JSON lines (blank lines
 skipped) or one top-level JSON array. Each record is an object with an
 ``id`` unique within its file; its keys are normalised once and the fields
-handed to the reader's own ``parse``. Any defect (bad JSON, nesting too
-deep to decode, bytes that are not UTF-8, a record that is not an object,
-a missing or duplicate id, a field ``parse`` rejects) is a ``SchemaError``
-naming the file, the line and the record. A file with no records reads as
-``[]``; readers that need records raise ``EmptyDatasetError`` on it.
+handed to the reader's own ``parse``. JSON lines are read, decoded and
+parsed one line at a time, so a file is never held beside its records; only
+a file whose first non-blank line opens an array is read whole. The first
+defect in file order (bad JSON, nesting too deep to decode, a line that is
+not UTF-8, a record that is not an object, a missing or duplicate id, a
+field ``parse`` rejects) is a ``SchemaError`` naming the file, the line and
+the record. A file with no records reads as ``[]``; readers that need
+records raise ``EmptyDatasetError`` on it. ``sha256_file`` hashes a file
+64 KiB at a time, for manifests and the config hash.
 Canonical record fields:
 
     id                unique identifier within the file
@@ -30,6 +34,7 @@ line. Every output, stats and manifest file the package writes goes through
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -42,6 +47,7 @@ from . import prompts
 CHOICE_LABELS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 SFT_HEADER = "#sft-v1"
 SUBTASKS = ("QP", "CP", "CV")
+HASH_BLOCK = 1 << 16
 
 
 class DatasetError(Exception):
@@ -231,47 +237,63 @@ def read_records(path, parse):
     """``parse(fields)`` of each record in the dataset file ``path``, in file order.
 
     ``fields`` is the record object with its keys normalised. The file rule
-    is the module docstring's; every defect is a ``SchemaError`` naming
-    ``path``, the line (in an array file, only the JSON error's) and the record.
+    is the module docstring's; the first defect in file order is a
+    ``SchemaError`` naming ``path``, the line (in an array file, only the
+    JSON error's) and the record.
     """
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise SchemaError(f"not UTF-8: {exc.reason}", file=path, line=line) from None
-    del raw  # hold no byte copy beside the text and its lines (peak memory)
-    array = text.lstrip().startswith("[")
     records = []
     seen = set()
-    for line_no, line in enumerate([text] if array else text.split("\n"), start=1):
+    with open(path, "rb") as fh:
+        for line_no, text in _json_texts(fh, path):
+            try:
+                value = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(
+                    f"invalid JSON: {exc.msg}", file=path, line=(line_no or 1) + exc.lineno - 1
+                ) from None
+            except RecursionError:
+                raise SchemaError("JSON nested too deeply", file=path, line=line_no) from None
+            for obj in value if line_no is None else (value,):
+                try:
+                    if not isinstance(obj, dict):
+                        raise SchemaError("record must be a JSON object")
+                    fields = _index_keys(obj)
+                    if "id" not in fields:
+                        raise SchemaError("missing required field", path="id")
+                    ident = str(fields["id"])
+                    if ident in seen:
+                        raise SchemaError(f"duplicate id {ident!r}", path="id")
+                    seen.add(ident)
+                    records.append(parse(fields))
+                except SchemaError as exc:
+                    raise exc.at(path, line_no, len(records)) from None
+    return records
+
+
+def _json_texts(fh, path):
+    """(line number, text) of each non-blank line of the open dataset file ``fh``,
+    one line held at a time; or, when the first non-blank line opens a top-level
+    array, one (None, the whole file)."""
+    first = True
+    for line_no, raw in enumerate(fh, start=1):
+        line = _decoded(raw, path, line_no)
         if not line.strip():
             continue
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(
-                f"invalid JSON: {exc.msg}", file=path, line=line_no + exc.lineno - 1
-            ) from None
-        except RecursionError:
-            raise SchemaError(
-                "JSON nested too deeply", file=path, line=None if array else line_no
-            ) from None
-        for obj in value if array else (value,):
-            try:
-                if not isinstance(obj, dict):
-                    raise SchemaError("record must be a JSON object")
-                fields = _index_keys(obj)
-                if "id" not in fields:
-                    raise SchemaError("missing required field", path="id")
-                ident = str(fields["id"])
-                if ident in seen:
-                    raise SchemaError(f"duplicate id {ident!r}", path="id")
-                seen.add(ident)
-                records.append(parse(fields))
-            except SchemaError as exc:
-                raise exc.at(path, None if array else line_no, len(records)) from None
-    return records
+        if first and line.lstrip().startswith("["):
+            fh.seek(0)
+            yield None, "".join(_decoded(each, path, n) for n, each in enumerate(fh, start=1))
+            return
+        first = False
+        yield line_no, line.removesuffix("\n")
+
+
+def _decoded(raw, path, line_no):
+    """Line ``line_no`` of the file ``path`` as text; a line that is not UTF-8 is a
+    ``SchemaError`` naming it."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8: {exc.reason}", file=path, line=line_no) from None
 
 
 def require_records(records, path):
@@ -338,6 +360,16 @@ def replacing(path, binary=False):
     finally:
         if not done:
             tmp.unlink(missing_ok=True)
+
+
+def sha256_file(path):
+    """The hex sha256 of the file ``path``, read 64 KiB at a time."""
+    digest = hashlib.sha256()
+    block = bytearray(HASH_BLOCK)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            digest.update(memoryview(block)[:size])
+    return digest.hexdigest()
 
 
 def save_jsonl(path, rows):

@@ -39,6 +39,7 @@ from .corpus import (
 EXHAUSTIVE_LIMIT = 12
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+_PUNCT_BYTES = string.punctuation.encode("ascii")
 
 
 class EvalError(Exception):
@@ -73,7 +74,10 @@ def normalize_text(text, policy):
     if policy.lowercase:
         text = text.lower()
     if policy.strip_punctuation:
-        text = text.translate(_PUNCT_TABLE)
+        if text.isascii():  # the bytes table deletes in C, without a per-character lookup
+            text = text.encode("ascii").translate(None, _PUNCT_BYTES).decode("ascii")
+        else:
+            text = text.translate(_PUNCT_TABLE)
     if policy.collapse_whitespace:
         text = " ".join(text.split())
     return text
@@ -98,23 +102,36 @@ def strings_match(a, b, policy):
     return token_f1(na, nb) >= policy.threshold
 
 
+def _overlaps(pred_keys, gold_keys, levels):
+    """Per level, the size of the multiset intersection of the pred and gold keys.
+
+    Each item of ``pred_keys`` and ``gold_keys`` holds one key per level; the
+    levels' keys never compare equal to one another (a string, then tuples of
+    growing length), so one dict counts them all.
+    """
+    left = {}
+    for keys in pred_keys:
+        for key in keys:
+            left[key] = left.get(key, 0) + 1
+    tps = [0] * levels
+    for keys in gold_keys:
+        for level, key in enumerate(keys):
+            count = left.get(key, 0)
+            if count:
+                left[key] = count - 1
+                tps[level] += 1
+    return tps
+
+
 def _exact_tuple_counts(pred_steps, gold_steps, policy):
     """Nested multiset intersections; equals the exhaustive optimum."""
     def keys(steps):
-        k3, k2, k1 = [], [], []
         for stmt, evid, verif in steps:
-            ns, ne = normalize_text(stmt, policy), normalize_text(evid, policy)
-            k1.append(ns)
-            k2.append((ns, ne))
-            k3.append((ns, ne, verif))
-        return Counter(k1), Counter(k2), Counter(k3)
+            ns = normalize_text(stmt, policy)
+            pair = (ns, normalize_text(evid, policy))
+            yield ns, pair, (*pair, verif)
 
-    p1, p2, p3 = keys(pred_steps)
-    g1, g2, g3 = keys(gold_steps)
-    stmt_tp = sum((p1 & g1).values())
-    evid_tp = sum((p2 & g2).values())
-    reason_tp = sum((p3 & g3).values())
-    return stmt_tp, evid_tp, reason_tp
+    return tuple(_overlaps(keys(pred_steps), keys(gold_steps), 3))
 
 
 def _pair_tuple(pred, gold, policy):
@@ -175,9 +192,10 @@ def match_steps(pred_steps, gold_steps, policy):
 def match_sets(pred, gold, policy):
     """Greedy one-to-one matching of two string lists; returns (tp, fp, fn)."""
     if policy.mode == "exact":
-        pred_counts = Counter(normalize_text(p, policy) for p in pred)
-        gold_counts = Counter(normalize_text(g, policy) for g in gold)
-        tp = sum((pred_counts & gold_counts).values())
+        def keys(texts):
+            return ((normalize_text(t, policy),) for t in texts)
+
+        (tp,) = _overlaps(keys(pred), keys(gold), 1)
     else:
         steps_p = [(p, "", True) for p in pred]
         steps_g = [(g, "", True) for g in gold]

@@ -227,7 +227,8 @@ def record_to_json(record):
 
 def record_from_json(fields):
     """A ``SynthesizedRecord`` from one record of ``synthesized.jsonl``, keys normalised.
-    An ``ok`` record carries both parses and the non-blank ``ucot_raw`` that filter scores."""
+    An ``ok`` record carries both parses, at least ``MIN_STEPS`` steps and the
+    non-blank ``ucot_raw`` that filter scores."""
     instance = parse_instance(fields)
     qp = fields.get("question_parsing")
     if qp is not None:
@@ -244,6 +245,10 @@ def record_from_json(fields):
     for path, value in (("question_parsing", qp), ("cot_parsing", trace)):
         if ok and value is None:
             raise SchemaError("required when parse_status is ok", path=path)
+    if ok and len(trace.steps) < MIN_STEPS:
+        raise SchemaError(
+            f"must hold at least {MIN_STEPS} steps when parse_status is ok", path="cot_parsing"
+        )
     return SynthesizedRecord(
         instance=instance,
         qp_raw=_require_text(fields.get("qp_raw", ""), "qp_raw", allow_blank=True),

@@ -86,6 +86,20 @@ def make_config(tmp_path, n_seed=5, n_pool=6, overrides=None, backend_overrides=
     return path
 
 
+def test_induce_dumps_each_gold_block_once(tmp_path, monkeypatch):
+    """Every candidate, round and held-out judgement reuses one gold block per seed example."""
+    calls = Counter()
+    dump = prompts.gold_output
+
+    def counted(example, subtask):
+        calls[example.instance.id, subtask] += 1
+        return dump(example, subtask)
+
+    monkeypatch.setattr(prompts, "gold_output", counted)
+    assert main(["induce", "--config", str(make_config(tmp_path, n_seed=5))]) == 0
+    assert calls == {(f"seed-{i}", subtask): 1 for i in range(5) for subtask in ("QP", "UCoT")}
+
+
 def test_full_pipeline_exit_codes_and_artifacts(tmp_path):
     config = make_config(tmp_path)
     workdir = tmp_path / "work"
@@ -798,7 +812,10 @@ def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "damage",
-    ["torn", "not-an-object", "bad-field", "ucot-raw-number", "cot-parsing-null", "ucot-raw-empty"],
+    [
+        "torn", "not-an-object", "bad-field", "ucot-raw-number", "cot-parsing-null",
+        "ucot-raw-empty", "ok-with-one-step",
+    ],
 )
 def test_filter_rejects_a_bad_synthesized_line_by_number(tmp_path, capsys, damage):
     config = make_config(tmp_path)
@@ -818,6 +835,7 @@ def test_filter_rejects_a_bad_synthesized_line_by_number(tmp_path, capsys, damag
             "ucot-raw-number": ("ucot_raw", 5),
             "cot-parsing-null": ("cot_parsing", None),
             "ucot-raw-empty": ("ucot_raw", ""),
+            "ok-with-one-step": ("cot_parsing", record["cot_parsing"][:1]),
         }[damage]
         lines[-1] = json.dumps({**record, key: value})
     synth.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +20,11 @@ from tracedistill.corpus import (
     load_seed,
     save_jsonl,
     seed_to_json,
+    sha256_file,
     verification_str,
 )
+
+SAMPLE_SEED = Path(__file__).resolve().parent.parent / "sample_data" / "seed.jsonl"
 
 
 def test_load_seed_gold_fixture(tmp_path):
@@ -234,3 +241,66 @@ def test_a_written_record_with_unicode_line_separators_reads_back(tmp_path):
     path = tmp_path / "pool.jsonl"
     save_jsonl(path, [instance_to_json(instance), instance_to_json(make_example("next").instance)])
     assert [x.question for x in load_questions(path)][0] == instance.question
+
+
+def test_the_first_defect_in_file_order_is_reported(tmp_path):
+    """A torn line before a line that is not UTF-8 is the error, read line by line."""
+    good = json.dumps(instance_to_json(make_example("a").instance)).encode("utf-8")
+    path = tmp_path / "pool.jsonl"
+    path.write_bytes(good + b'\n{"id": "b"\n{"id": "caf\xe9"}\n')
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: line 2: invalid JSON"):
+        load_questions(path)
+    path.write_bytes(good + b'\n{"id": "caf\xe9"}\n{"id": "b"\n')
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: line 2: not UTF-8"):
+        load_questions(path)
+
+
+def test_an_array_file_after_blank_lines_is_one_document(tmp_path):
+    rows = [instance_to_json(make_example(name).instance) for name in "ab"]
+    path = tmp_path / "pool.json"
+    path.write_text("\n \n" + json.dumps(rows, indent=1) + "\n", encoding="utf-8")
+    assert [x.id for x in load_questions(path)] == ["a", "b"]
+    path.write_text("\n \n[\n" + json.dumps(rows[0]) + ",\n{torn\n]\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: line 5: invalid JSON"):
+        load_questions(path)
+
+
+def _large_seed_file(path, size=10 << 20):
+    """At least ``size`` bytes of seed records, each a copy of the sample seed's first
+    record (about 2 KB) under its own id."""
+    row = json.loads(SAMPLE_SEED.read_text(encoding="utf-8").splitlines()[0])
+    with open(path, "w", encoding="utf-8") as fh:
+        count = 0
+        while fh.tell() < size:
+            fh.write(json.dumps({**row, "id": f"big-{count}"}, ensure_ascii=False) + "\n")
+            count += 1
+    return count
+
+
+def _transient_bytes(fn, *args):
+    """``fn(*args)`` and the bytes its call allocated at peak beyond what it left held."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - held
+
+
+def test_reading_a_large_dataset_holds_one_line_of_it(tmp_path):
+    """Beyond the records it returns, a read holds one line and its set of ids, not the
+    file (a whole-file read peaks about twice the file size above them)."""
+    path = tmp_path / "seed.jsonl"
+    count = _large_seed_file(path)
+    records, transient = _transient_bytes(load_seed, path)
+    assert len(records) == count
+    assert transient < 1 << 20
+
+
+def test_hashing_a_large_file_holds_one_block(tmp_path):
+    path = tmp_path / "seed.jsonl"
+    _large_seed_file(path)
+    digest, transient = _transient_bytes(sha256_file, path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert transient < 1 << 20

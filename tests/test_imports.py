@@ -19,12 +19,18 @@ errors that name the file and line); ``json.loads`` is called elsewhere
 only by ``config.load_config``, which reads one config object, and by
 ``retrieval.load_index``, which reads the index header and goes when the
 benchmark tracer stops naming it.
-``json.dumps`` with ``indent`` is called only by ``prompts._dump``, for
-values other than a non-empty list of strings, and by ``cli._json_text``,
-which writes manifests and reports: ``indent`` makes ``json.dumps`` build
-its text in pure Python, several times slower than the C string encoder
-that ``_dump`` joins for the statement and evidence lists of every
-Verifier prompt.
+``json.dumps`` or ``json.dump`` with ``indent`` is called only by
+``prompts._dump``, for values other than a non-empty list of strings, and by
+``cli.write_json``, the one writer of manifests, stats and reports:
+``indent`` makes the encoder build its text in pure Python, several times
+slower than the C string encoder that ``_dump`` joins for the statement and
+evidence lists of every Verifier prompt.
+No file is held whole in memory beside what is built from it: dataset
+files are read a line at a time (``corpus.read_records``) and hashed 64 KiB
+at a time (``corpus.sha256_file``). ``read_bytes``, ``read_text`` and a
+``.read()`` without a size appear only in ``config.load_config`` (one
+config object), ``cli.Run.instruction`` (one induced instruction) and
+``retrieval.load_index`` (one index, read by no stage).
 Only ``prompts._query`` names ``corpus.format_question``, so the subtask
 alone decides what a prompt's input shows (the question, its CoT, the
 statements, the evidence); ``corpus._sft_rows`` names it too, for the SFT
@@ -280,25 +286,72 @@ def test_only_read_records_decodes_dataset_json():
 def test_detector_finds_calls_by_keyword():
     source = (
         "import json\n"
-        "def f(v):\n"
+        "def f(v, fh):\n"
         "    json.dumps(v, indent=2)\n"
         "    json.dumps(v, ensure_ascii=False)\n"
+        "    json.dump(v, fh, sort_keys=True, indent=1)\n"
         "    return dumps(v, sort_keys=True, indent=1)\n"
     )
-    assert constructions(source, {"dumps"}, keyword="indent") == [("f", 3), ("f", 5)]
+    assert constructions(source, {"dumps", "dump"}, keyword="indent") == [
+        ("f", 3), ("f", 5), ("f", 6)
+    ]
 
 
 # the functions that may write indented JSON; the reason is in the module docstring
-INDENTED_JSON_WRITERS = {("prompts.py", "_dump"), ("cli.py", "_json_text")}
+INDENTED_JSON_WRITERS = {("prompts.py", "_dump"), ("cli.py", "write_json")}
 
 
-def test_only_dump_fallback_and_json_text_indent_json():
+def test_only_dump_fallback_and_the_document_writer_indent_json():
     """Prompt blocks reach the pure-Python encoder, which ``indent`` forces, only as a fallback."""
 
-    def indented_dumps(source, names):
+    def indented(source, names):
         return constructions(source, names, keyword="indent")
 
-    assert constructions_outside({"dumps"}, INDENTED_JSON_WRITERS, find=indented_dumps) == {}
+    assert constructions_outside({"dumps", "dump"}, INDENTED_JSON_WRITERS, find=indented) == {}
+
+
+def whole_file_reads(source, names):
+    """(enclosing function, line) of each call to one of ``names`` and of each
+    ``.read()`` without a size: the calls that hold a whole file at once."""
+    found = []
+    for function, node in nodes_by_function(source):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+            if name in names or (name == "read" and not node.args and not node.keywords):
+                found.append((function, node.lineno))
+    return found
+
+
+def test_detector_finds_whole_file_reads_only():
+    source = (
+        "def f(path, fh):\n"
+        "    Path(path).read_bytes()\n"
+        "    path.read_text(encoding='utf-8')\n"
+        "    fh.read()\n"
+        "    fh.read(65536)\n"
+        "    fh.readinto(buffer)\n"
+        "    fh.readline()\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return open(self.path).read()\n"
+    )
+    found = whole_file_reads(source, WHOLE_FILE_METHODS)
+    assert found == [("f", 2), ("f", 3), ("f", 4), ("C.g", 10)]
+
+
+WHOLE_FILE_METHODS = {"read_bytes", "read_text"}
+# the reads that may hold a whole file; the reason is in the module docstring
+WHOLE_FILE_READERS = {
+    ("config.py", "load_config"),
+    ("cli.py", "Run.instruction"),
+    ("retrieval.py", "load_index"),
+}
+
+
+def test_only_small_files_are_read_whole():
+    """Dataset files are read a line at a time and hashed a block at a time."""
+    found = constructions_outside(WHOLE_FILE_METHODS, WHOLE_FILE_READERS, find=whole_file_reads)
+    assert found == {}
 
 
 def references(source, names):

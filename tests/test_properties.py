@@ -4,15 +4,23 @@
 so every input must end in a value or a `ParseFailure`;
 `canonicalize_verification` must end in a bool or a `SchemaError`.
 `prompts._dump` writes every value byte for byte as `json.dumps` with
-`indent=2` does, on its fast path for lists of strings and off it.
+`indent=2` does, on its fast path for lists of strings and off it. Eval's
+exact matching (`normalize_text`, `match_sets`, `match_steps`) counts what
+a `str.translate` normaliser and `Counter` intersections count, under every
+policy.
 """
 
+import itertools
 import json
+import string
+from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracedistill.corpus import ReasoningTrace, SchemaError, canonicalize_verification
+from tracedistill.evalharness import MatchPolicy, match_sets, match_steps, normalize_text
 from tracedistill.prompts import _dump
 from tracedistill.synthesis import ParseFailure, extract_json, parse_qp, parse_ucot
 
@@ -186,3 +194,50 @@ def test_dump_joins_a_list_of_strings_without_json_dumps(monkeypatch):
 
     monkeypatch.setattr(json, "dumps", pure_python_encoder)
     assert _dump(["a", 'say "b"']) == '[\n  "a",\n  "say \\"b\\""\n]'
+
+
+def _normalize_reference(text, policy):
+    if policy.lowercase:
+        text = text.lower()
+    if policy.strip_punctuation:
+        text = text.translate(str.maketrans("", "", string.punctuation))
+    if policy.collapse_whitespace:
+        text = " ".join(text.split())
+    return text
+
+
+def _overlap_reference(pred, gold):
+    return sum((Counter(pred) & Counter(gold)).values())
+
+
+# few characters, so equal strings after normalisation are common; case, ASCII
+# punctuation and non-ASCII letters, punctuation and whitespace (U+2028)
+MATCH_TEXT = st.text(alphabet=st.sampled_from(list("aA .,!-\t") + ["İ", "ß", "，", "\u2028", "É"]),
+                     max_size=6)
+STEPS = st.lists(st.tuples(MATCH_TEXT, MATCH_TEXT, st.booleans()), max_size=5)
+FLAGS = list(itertools.product((False, True), repeat=3))
+
+
+@pytest.mark.parametrize("flags", FLAGS)
+@SETTINGS
+@given(st.lists(MATCH_TEXT, max_size=5), st.lists(MATCH_TEXT, max_size=5), STEPS, STEPS)
+@example(["İ", "ß", "a，b", "a\u2028b"], ["i̇", "SS", "ab", "a b"], [], [])
+def test_exact_matching_counts_what_counters_count(flags, pred, gold, pred_steps, gold_steps):
+    policy = MatchPolicy(*flags)
+
+    def norm(text):
+        return _normalize_reference(text, policy)
+
+    for text in pred + gold:
+        assert normalize_text(text, policy) == norm(text)
+    tp = _overlap_reference(map(norm, pred), map(norm, gold))
+    assert match_sets(pred, gold, policy) == (tp, len(pred) - tp, len(gold) - tp)
+
+    def keys(steps):
+        return [(norm(stmt), norm(evid), verif) for stmt, evid, verif in steps]
+
+    pred_keys, gold_keys = keys(pred_steps), keys(gold_steps)
+    assert match_steps(pred_steps, gold_steps, policy) == tuple(
+        _overlap_reference([k[:width] for k in pred_keys], [k[:width] for k in gold_keys])
+        for width in (1, 2, 3)
+    )
