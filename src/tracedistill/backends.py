@@ -17,6 +17,9 @@ Three implementations share one call surface:
   work), a bounded in-flight semaphore, and retries for transient
   failures.
 
+An embedding is a tuple of floats with unit L2 norm (``math.hypot``); the
+package needs no array library for one 24-row scan per query.
+
 Mock response scheme (tests rely on this being stable):
 
 * ``generate`` keys on the last non-empty line of the rendered prompt:
@@ -32,7 +35,7 @@ Mock response scheme (tests rely on this being stable):
   cost in [0.02, 0.10] and returns the negated running sum clamped to
   [-100, 0], so extending a completion never raises its score.
 * ``embed`` expands sha256 blocks into ``embed_dim`` floats in [-1, 1],
-  then L2-normalizes.
+  then L2-normalizes, into a tuple.
 * ``reward`` maps a hash of (context, response) into [-2.0, 4.0).
 
 ``requests`` is not imported with this module: ``RequestsTransport``
@@ -61,8 +64,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import prompts
 
@@ -179,6 +180,8 @@ class BackendProfile:
             raise ConfigError(f"timeout must be a finite number above 0, got {self.timeout!r}")
         if self.max_inflight < 1:
             raise ConfigError("max_inflight must be >= 1")
+        if self.embed_dim < 1:
+            raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.retry_budget < 0:
             raise ConfigError(f"retry_budget must be >= 0, got {self.retry_budget}")
         if self.kind == "http" and not self.endpoint:
@@ -417,12 +420,11 @@ class MockBackend(Backend):
                     u = int.from_bytes(block[offset : offset + 4], "big") / 2**32
                     values.append(2.0 * u - 1.0)
                 counter += 1
-            vec = np.asarray(values, dtype=float)
-            norm = float(np.linalg.norm(vec))
+            norm = math.hypot(*values)
             if norm == 0.0:
-                vec[0] = 1.0
+                values[0] = 1.0
                 norm = 1.0
-            return vec / norm
+            return tuple([value / norm for value in values])
 
     def reward(self, context, response):
         _check_messages(context)
@@ -545,15 +547,17 @@ class HttpBackend(Backend):
         payload = build_embed_payload(self.model, text)
         resp = self._send("embed", "/embeddings", payload)
         try:
-            vec = np.asarray(resp["data"][0]["embedding"], dtype=float)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            values = resp["data"][0]["embedding"]
+            # float() takes a bool or numeric-string entry, as the parser always has
+            vec = tuple(map(float, values)) if isinstance(values, (list, tuple)) else ()
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise BackendError(f"malformed embeddings response: {resp!r}") from exc
-        if vec.ndim != 1 or not vec.size or not np.isfinite(vec).all():
+        if not vec or not all(map(math.isfinite, vec)):
             raise BackendError(f"embedding is not a finite non-empty vector: {resp!r}")
-        norm = float(np.linalg.norm(vec))
+        norm = math.hypot(*vec)
         if norm == 0.0:
             raise BackendError("embedding has zero norm")
-        return vec / norm
+        return tuple([value / norm for value in vec])
 
     def reward(self, context, response):
         _check_messages(context)
@@ -613,11 +617,12 @@ class CachingBackend(Backend):
     32-byte digest, read on every hit. A completion row is the raw-deflate
     BLOB of its UTF-8 when that is shorter, else its text, and both forms
     are served; a reward or score row is its little-endian float64 bytes,
-    and an embedding row the vector's. A missing row, or one holding a value
-    the operation could not have returned, is a miss and is overwritten:
-    ``generate`` returns a string (a BLOB that does not inflate to UTF-8 is
-    none), ``score`` and ``reward`` one finite float, ``embed`` a finite
-    vector that is not empty or all zero. One
+    and an embedding row its tuple's, served back as a tuple of floats. A
+    missing row, or one holding a value the operation could not have
+    returned, is a miss and is overwritten: ``generate`` returns a string (a
+    BLOB that does not inflate to UTF-8 is none), ``score`` and ``reward``
+    one finite float, ``embed`` a finite vector that is not empty or all
+    zero. One
     connection is opened on the first cache access and shared by every
     thread under its own ``_db_lock``, so a call giving back its slot never
     waits on another thread's statement; ``_lock`` guards only the counters.
@@ -728,15 +733,17 @@ class CachingBackend(Backend):
             return value if math.isfinite(value) else _MISS
         if len(raw) % 8:
             return _MISS
-        vec = np.frombuffer(raw, "<f8").copy()
+        vec = struct.unpack(f"<{len(raw) // 8}d", raw)
         # every backend returns a unit vector, so an all-zero one is as corrupt as a NaN
-        return vec if vec.any() and np.isfinite(vec).all() else _MISS
+        return vec if any(vec) and all(map(math.isfinite, vec)) else _MISS
 
     def _store(self, key, value):
         if isinstance(value, str):
             row = _completion_row(value)
+        elif isinstance(value, tuple):
+            row = struct.pack(f"<{len(value)}d", *value)
         else:
-            row = np.asarray(value, "<f8").tobytes()
+            row = struct.pack("<d", value)
         self._execute("INSERT OR REPLACE INTO calls (key, result) VALUES (?, ?)", (key, row))
 
     @contextmanager
@@ -798,9 +805,7 @@ class CachingBackend(Backend):
         )
 
     def embed(self, text):
-        return self._call(
-            "embed", (text,), lambda: np.asarray(self.inner.embed(text), dtype=float)
-        )
+        return self._call("embed", (text,), lambda: tuple(map(float, self.inner.embed(text))))
 
     def reward(self, context, response):
         return self._call(

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import random
 import shutil
 import sqlite3
@@ -13,7 +14,6 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
-import numpy as np
 import pytest
 import requests
 
@@ -49,6 +49,11 @@ PARAMS = GenParams()
 def _raw_deflate(data):
     packer = zlib.compressobj(wbits=-15)
     return packer.compress(data) + packer.flush()
+
+
+def _f8(values):
+    """The little-endian float64 bytes of ``values``, as an embedding row holds them."""
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 def _set_every_row(cache_dir, row):
@@ -141,13 +146,14 @@ def test_score_completion_empty_completion_rejected():
 def test_embed_unit_norm_and_dim():
     backend = MockBackend(embed_dim=64)
     vec = backend.embed("any text at all")
-    assert vec.shape == (64,)
-    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-6
-    assert np.array_equal(vec, backend.embed("any text at all"))
+    assert type(vec) is tuple and len(vec) == 64
+    assert all(type(value) is float for value in vec)
+    assert abs(math.hypot(*vec) - 1.0) <= 1e-6
+    assert vec == backend.embed("any text at all")
 
 
 def test_embed_custom_dimension():
-    assert MockBackend(embed_dim=16).embed("text").shape == (16,)
+    assert len(MockBackend(embed_dim=16).embed("text")) == 16
 
 
 def test_reward_deterministic_and_requires_response():
@@ -291,10 +297,9 @@ def test_cached_embedding_is_the_vector_bit_for_bit_as_float64_bytes(tmp_path):
     hit = CachingBackend(inner, cache_dir=tmp_path).embed("a question")
     assert inner.calls["embed"] == 0
     for vec in (miss, hit):
-        assert vec.dtype == np.float64
-        assert vec.tobytes() == expected.tobytes()
-    assert hit.flags.writeable
-    assert cached_rows(tmp_path) == [expected.astype("<f8").tobytes()]
+        assert type(vec) is tuple and all(type(value) is float for value in vec)
+        assert _f8(vec) == _f8(expected)
+    assert cached_rows(tmp_path) == [_f8(expected)]
     assert len(cached_rows(tmp_path)[0]) == 8 * 48
 
 
@@ -303,8 +308,8 @@ def test_cached_embedding_is_the_vector_bit_for_bit_as_float64_bytes(tmp_path):
     [
         ("embed", b""),
         ("embed", bytes(12)),
-        ("embed", np.array([0.6, float("nan"), 0.8]).tobytes()),
-        ("embed", np.array([float("inf")]).tobytes()),
+        ("embed", _f8([0.6, float("nan"), 0.8])),
+        ("embed", _f8([float("inf")])),
         ("embed", '{"result": "abc"}'),
         ("embed", '{"result": []}'),
         ("embed", bytes(16)),
@@ -343,7 +348,7 @@ def test_cached_value_the_operation_could_not_return_is_a_miss(tmp_path, op, row
     assert _set_every_row(tmp_path, row) == 1
     inner = MockBackend()
     backend = CachingBackend(inner, cache_dir=tmp_path)
-    assert np.array_equal(CALLS[op](backend), expected)
+    assert CALLS[op](backend) == expected
     assert inner.calls[op] == 1
     assert backend.cache_misses == 1
     assert cached_rows(tmp_path) == written
@@ -359,7 +364,7 @@ def test_cached_value_the_operation_could_not_return_is_a_miss(tmp_path, op, row
         ("reward", struct.pack("<d", 3.0), 3.0),
         ("reward", bytes(8), 0.0),
         ("score", struct.pack("<d", -1.5), -1.5),
-        ("embed", np.array([1.0, 0.5]).tobytes(), [1.0, 0.5]),
+        ("embed", _f8([1.0, 0.5]), (1.0, 0.5)),
     ],
 )
 def test_cached_value_the_operation_could_return_is_a_hit(tmp_path, op, row, value):
@@ -369,8 +374,8 @@ def test_cached_value_the_operation_could_return_is_a_hit(tmp_path, op, row, val
     assert _set_every_row(tmp_path, row) == 1
     inner = MockBackend()
     got = CALLS[op](CachingBackend(inner, cache_dir=tmp_path))
-    assert type(got) is (np.ndarray if op == "embed" else type(value))
-    assert np.array_equal(got, value)
+    assert type(got) is type(value)
+    assert got == value
     assert sum(inner.calls.values()) == 0
 
 
@@ -501,7 +506,7 @@ def test_store_primed_by_schema_version_1_is_served_as_misses(tmp_path):
     v1_rows = [
         (
             _v1_key(op, V1_PAYLOADS[op]),
-            value.tobytes() if op == "embed" else json.dumps({"result": value}),
+            _f8(value) if op == "embed" else json.dumps({"result": value}),
         )
         for op, value in expected.items()
     ]
@@ -512,7 +517,7 @@ def test_store_primed_by_schema_version_1_is_served_as_misses(tmp_path):
     inner = MockBackend()
     backend = CachingBackend(inner, cache_dir=tmp_path)
     for op, call in CALLS.items():
-        assert np.array_equal(call(backend), expected[op])
+        assert call(backend) == expected[op]
     backend.close()
     assert inner.calls == {"generate": 1, "score": 1, "embed": 1, "reward": 1}
     assert backend.cache_misses == 4
@@ -576,7 +581,7 @@ def test_store_with_a_rowid_table_and_text_rows_is_served_and_kept(tmp_path):
     inner = MockBackend()
     backend = CachingBackend(inner, cache_dir=tmp_path)
     for op, call in CALLS.items():
-        assert np.array_equal(call(backend), expected[op])
+        assert call(backend) == expected[op]
     assert sum(inner.calls.values()) == 0
     assert backend.cache_hits == 4
     new = backend.generate(_user("not cached yet\n\nQuestion Parsing:"), PARAMS)
@@ -617,7 +622,8 @@ def test_a_cache_hit_does_no_json_work(tmp_path, monkeypatch):
     for op in ("score", "reward"):
         assert type(got[op]) is float
         assert struct.pack("<d", got[op]) == struct.pack("<d", expected[op])
-    assert got["embed"].tobytes() == expected["embed"].tobytes()
+    assert type(got["embed"]) is tuple
+    assert _f8(got["embed"]) == _f8(expected["embed"])
 
 
 def test_cache_key_distinguishes_models():
@@ -760,7 +766,82 @@ def test_http_reward_parses_content_float():
 def test_http_embedding_comes_back_l2_normalised():
     profile = BackendProfile(kind="http", endpoint="https://example.test/v1", model="remote")
     backend = HttpBackend(profile, transport=lambda url, payload: {"data": [{"embedding": [3, 4]}]})
-    assert backend.embed("a question").tolist() == pytest.approx([0.6, 0.8])
+    assert backend.embed("a question") == pytest.approx((0.6, 0.8))
+
+
+# Each response shape's outcome, recorded from the numpy-based parser this one
+# replaced: the unit vector it returned, or None where it raised BackendError.
+EMBEDDING_SHAPES = {
+    "int-list": ([3, 4], (0.6, 0.8)),
+    "float-list": ([0.6, 0.8], (0.6, 0.8)),
+    "negative-entries": ([-1.0, 2.0, -2.0], (-1 / 3, 2 / 3, -2 / 3)),
+    "one-entry": ([2.0], (1.0,)),
+    "bool-entries": ([True, False], (1.0, 0.0)),
+    "bool-and-int-entries": ([True, 1, 1], (3**-0.5,) * 3),
+    "numeric-string-entries": (["3", "4"], (0.6, 0.8)),
+    "padded-float-string-entries": (["0.6", " 0.8 "], (0.6, 0.8)),
+    "nested-list": ([[3, 4]], None),
+    "nested-single": ([[1.0]], None),
+    "ragged-nested": ([[1], [1, 2]], None),
+    "list-entry": ([[1.0], 1.0], None),
+    "dict-entry": ([{"x": 1}, 1.0], None),
+    "word-entry": (["abc", 1.0], None),
+    "none-entry": ([None, 1.0], None),
+    "int": (5, None),
+    "float": (1.5, None),
+    "bool": (True, None),
+    "none": (None, None),
+    "string": ("3,4", None),
+    "numeric-string": ("34", None),
+    "dict": ({"a": 1}, None),
+    "empty": ([], None),
+    "nan-entry": ([float("nan"), 1.0], None),
+    "nan-string-entry": (["nan", 1.0], None),
+    "inf-entry": ([float("inf"), 1.0], None),
+    "minus-inf-entry": ([1.0, float("-inf")], None),
+    "zero-vector": ([0.0, 0.0], None),
+    "zero-int-vector": ([0, 0], None),
+}
+
+
+@pytest.mark.parametrize(
+    "embedding, expected", EMBEDDING_SHAPES.values(), ids=EMBEDDING_SHAPES.keys()
+)
+def test_http_embedding_response_shapes_keep_their_outcome(embedding, expected):
+    profile = BackendProfile(kind="http", endpoint="https://example.test/v1", model="remote")
+    response = {"data": [{"embedding": embedding}]}
+    backend = HttpBackend(profile, transport=lambda url, payload: response)
+    if expected is None:
+        with pytest.raises(BackendError, match="embedding"):
+            backend.embed("a question")
+        return
+    got = backend.embed("a question")
+    assert type(got) is tuple and all(type(value) is float for value in got)
+    assert len(got) == len(expected)
+    assert all(abs(value - want) <= 1e-12 for value, want in zip(got, expected))
+
+
+@pytest.mark.parametrize(
+    "embedding, expected",
+    [
+        # the numpy norm overflowed to inf and returned an all-zero vector
+        ([1e308, 1e308], (0.5**0.5, 0.5**0.5)),
+        # the numpy norm underflowed to 0 and called the vector zero-norm
+        ([1e-200, 1e-200], (0.5**0.5, 0.5**0.5)),
+        # an integer past float range escaped as a raw OverflowError
+        ([10**400], None),
+    ],
+    ids=["huge-entries", "tiny-entries", "int-past-float"],
+)
+def test_http_embedding_normalises_without_overflow(embedding, expected):
+    profile = BackendProfile(kind="http", endpoint="https://example.test/v1", model="remote")
+    response = {"data": [{"embedding": embedding}]}
+    backend = HttpBackend(profile, transport=lambda url, payload: response)
+    if expected is None:
+        with pytest.raises(BackendError, match="malformed embeddings response"):
+            backend.embed("a question")
+    else:
+        assert backend.embed("a question") == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -880,7 +961,7 @@ def test_http_session_keeps_a_connection_per_request_in_flight(monkeypatch, max_
         kind="http", endpoint="https://example.test/v1", model="remote", max_inflight=max_inflight
     )
     backend = HttpBackend(profile)
-    assert backend.embed("text").tolist() == [1.0]
+    assert backend.embed("text") == (1.0,)
     assert [url for url, _ in sent] == ["https://example.test/v1/embeddings"]
     for url in ("https://example.test/v1/embeddings", "http://plain.test/v1"):
         adapter = backend.transport._session.get_adapter(url)

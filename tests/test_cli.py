@@ -475,6 +475,25 @@ def test_infer_embeds_the_current_seed_file_not_index_bin(tmp_path):
     assert main(["infer", "--config", str(config)]) == 0
 
 
+def test_cached_vectors_of_another_embed_dim_are_a_data_error(tmp_path, capsys):
+    # the embed call's cache key holds the model and the text, not embed_dim
+    config = make_config(tmp_path)
+    for command in ("induce", "synthesize"):
+        assert main([command, "--config", str(config)]) == 0
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    raw["backends"]["embedding"]["embed_dim"] = 8
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    pool = _read_jsonl(tmp_path / "pool.jsonl")
+    pool.append(instance_to_json(make_example("pool-new", n_steps=2).instance))
+    write_jsonl(tmp_path / "pool.jsonl", pool)
+    capsys.readouterr()
+    assert main(["infer", "--config", str(config)]) == 5
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "RetrievalError"
+    assert "dimension 8" in err["message"] and "16" in err["message"]
+    assert "embed_dim" in err["message"]
+
+
 def test_synthesize_output_follows_the_current_pool(tmp_path):
     config = make_config(tmp_path)
     workdir = tmp_path / "work"
@@ -787,12 +806,14 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, overrides):
         ("timeout", -1),
         ("timeout", 0),
         ("timeout", float("inf")),
+        ("embed_dim", 0),
+        ("embed_dim", -3),
     ],
     ids=["cassette", "replay", "retry-budget-fraction", "retry-budget-negative", "max-inflight-bool",
          "max-inflight-string", "kind-number", "model-number", "endpoint-list", "auth-env-number",
          "cache-dir-number", "malformed-rate-string", "malformed-rate-above-one",
          "empty-qp-rate-nan", "empty-qp-rate-bool", "timeout-string", "timeout-negative",
-         "timeout-zero", "timeout-inf"],
+         "timeout-zero", "timeout-inf", "embed-dim-zero", "embed-dim-negative"],
 )
 def test_bad_profile_field_is_a_config_error(tmp_path, capsys, field, value):
     reward = {"kind": "http", "model": "rm", "endpoint": "https://rm.test/v1", field: value}

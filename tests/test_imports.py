@@ -4,7 +4,10 @@ Imports sit at module level, never inside a function body, with one
 exception: ``RequestsTransport.__call__`` imports ``requests``, so a
 process that sends no HTTP request never loads the HTTP stack (start-up is
 the largest cost of a small command; see the ``backends`` docstring). No
-module is loaded through ``importlib`` or ``__import__`` instead. Only
+module is loaded through ``importlib`` or ``__import__`` instead, and no
+module imports numpy, at any scope: an embedding is a tuple of floats, and
+the one 24-row scan per query does not pay for an array library's import
+time and memory in every process. Only
 ``cli.main`` catches ``Exception``: everywhere else a handler names the
 errors it expects, so an unexpected one reaches ``main`` with its own type
 and exit code. Only ``backends.fan_out`` builds a thread pool or thread,
@@ -74,6 +77,34 @@ def nested_imports(source):
         elif scope is not None and isinstance(node, ast.ImportFrom):
             found.append((scope, node.lineno, ["." * node.level + (node.module or "")]))
     return found
+
+
+def imported_top_levels(source):
+    """The top-level package of every absolute import, at any scope."""
+    found = set()
+    for _, node in nodes_by_function(source):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_detector_finds_imports_at_every_scope():
+    source = (
+        "import numpy.linalg as la\nfrom . import numpy\n\ndef f():\n"
+        "    from numpy import asarray\n    import os, json\n"
+    )
+    assert imported_top_levels(source) == {"numpy", "os", "json"}
+
+
+def test_no_package_module_imports_numpy():
+    importers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "numpy" in imported_top_levels(path.read_text(encoding="utf-8"))
+    ]
+    assert importers == []
 
 
 def test_detector_finds_nested_imports_only():

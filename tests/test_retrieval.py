@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,7 @@ def test_oracle_equivalence_on_random_vectors():
             hits = top_k_vector(index, query, k)
             oracle = _brute_force_top_k(matrix, ids, query, k)
             assert [h.id for h in hits] == [ident for ident, _ in oracle]
+            assert [h.score for h in hits] == pytest.approx([s for _, s in oracle], abs=1e-12)
 
 
 def test_non_unit_rows_rejected():
@@ -151,3 +154,41 @@ def test_build_index_embeds_in_parallel_and_keeps_seed_order():
 def test_build_index_empty_pool_rejected():
     with pytest.raises(RetrievalError):
         build_index([], MockBackend().embed)
+
+
+def test_rows_of_differing_length_rejected_naming_both_dimensions():
+    with pytest.raises(RetrievalError, match="dimension 3, the index 2.*embed_dim"):
+        SeedIndex(ids=["a", "b"], matrix=[(1.0, 0.0), (1.0, 0.0, 0.0)])
+
+
+def test_query_of_another_dimension_rejected_naming_both_dimensions():
+    index = SeedIndex(ids=["a", "b"], matrix=[(1.0, 0.0), (0.0, 1.0)])
+    with pytest.raises(RetrievalError, match="dimension 3, the index 2.*embed_dim"):
+        top_k_vector(index, (1.0, 0.0, 0.0), 1)
+
+
+def test_rows_given_as_an_ndarray_or_lists_are_kept_as_float_tuples():
+    from_array = SeedIndex(ids=["a", "b"], matrix=np.eye(2))
+    from_lists = SeedIndex(ids=["a", "b"], matrix=[[1, 0], [0, 1]])
+    for index in (from_array, from_lists):
+        assert index.matrix == ((1.0, 0.0), (0.0, 1.0))
+        assert all(type(value) is float for row in index.matrix for value in row)
+        assert index.dim == 2
+
+
+def test_index_file_with_a_short_matrix_is_a_retrieval_error(tmp_path, small_index):
+    _, index = small_index
+    path = tmp_path / "index.bin"
+    save_index(index, path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(RetrievalError, match="matrix bytes"):
+        load_index(path)
+
+
+def test_index_file_body_is_the_row_major_little_endian_float64_matrix(tmp_path, small_index):
+    _, index = small_index
+    path = tmp_path / "index.bin"
+    save_index(index, path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    assert json.loads(header)["dim"] == 32
+    assert body == np.asarray(index.matrix, dtype="<f8").tobytes()

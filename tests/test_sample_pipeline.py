@@ -41,7 +41,7 @@ PINNED = {
     "synthesize": (
         {"pool": POOL, "prompts/QP.txt": QP_TXT, "prompts/UCoT.txt": UCOT_TXT, "seed": SEED},
         {
-            "index.bin": "1c7cdeb5765713145ea62849fe1248311005165feb60ced47c0cfb37a3be70ec",
+            "index.bin": "8185f72574c57a3acf2cdc5fa5445c9eb807944e33a2e6440ae3c205d78cb3ac",
             "synthesized.jsonl": SYNTHESIZED,
         },
     ),

@@ -1,9 +1,9 @@
 """What a fresh process loads before it sends an HTTP request.
 
 The HTTP stack loads at the first request (see the ``backends``
-docstring), so a process that sends none never imports it. These checks
-run in a fresh interpreter, because the test process itself already
-imports ``requests``.
+docstring), so a process that sends none never imports it, and no process
+imports numpy. These checks run in a fresh interpreter, because the test
+process itself already imports ``requests``.
 """
 
 import json
@@ -20,19 +20,20 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SAMPLE = ROOT / "sample_data"
 HTTP_STACK = ("requests", "urllib3", "charset_normalizer", "idna", "certifi")
+WATCHED = (*HTTP_STACK, "numpy")
 
 LOADED = f"""
 import json, sys
 before = set(sys.modules)
 from tracedistill.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-loaded = [m for m in {HTTP_STACK!r} if m in sys.modules and m not in before]
+loaded = [m for m in {WATCHED!r} if m in sys.modules and m not in before]
 print(json.dumps({{"codes": codes, "loaded": loaded}}))
 """
 
 
 def fresh_process(*argvs):
-    """Run each CLI argv in order in one fresh interpreter: (exit codes, HTTP modules loaded).
+    """Run each CLI argv in order in one fresh interpreter: (exit codes, watched modules loaded).
 
     A module the interpreter had loaded before the package (a site ``.pth``
     file may import ``certifi``, say) is not counted.
@@ -54,6 +55,16 @@ def unused_loopback_port():
 
 def test_importing_the_cli_loads_no_http_module():
     assert fresh_process() == ([], [])
+
+
+def test_a_sample_run_from_induce_to_eval_never_loads_numpy(tmp_path):
+    for name in ("config.json", "seed.jsonl", "pool.jsonl", "gold.jsonl"):
+        shutil.copy(SAMPLE / name, tmp_path / name)
+    commands = ("induce", "synthesize", "filter", "export", "infer", "eval")
+    argvs = [[command, "--config", str(tmp_path / "config.json")] for command in commands]
+    codes, loaded = fresh_process(*argvs)
+    assert codes == [0] * len(commands)
+    assert loaded == []  # neither numpy nor, with mock backends, the HTTP stack
 
 
 def test_cached_rerun_under_http_profiles_sends_nothing_and_loads_no_http_module(tmp_path):
