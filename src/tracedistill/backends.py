@@ -622,7 +622,8 @@ class CachingBackend(Backend):
     returned, is a miss and is overwritten: ``generate`` returns a string (a
     BLOB that does not inflate to UTF-8 is none), ``score`` and ``reward``
     one finite float, ``embed`` a finite vector that is not empty or all
-    zero. One
+    zero, and as long as the inner backend's ``embed_dim`` when it declares
+    one (the mock does; an HTTP model's width is its own). One
     connection is opened on the first cache access and shared by every
     thread under its own ``_db_lock``, so a call giving back its slot never
     waits on another thread's statement; ``_lock`` guards only the counters.
@@ -649,6 +650,7 @@ class CachingBackend(Backend):
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.retry_budget = retry_budget
         self.max_inflight = max_inflight
+        self.embed_dim = getattr(inner, "embed_dim", None)
         self._sem = threading.BoundedSemaphore(max_inflight)
         self._lock = threading.Lock()
         self._db_lock = threading.Lock()
@@ -657,12 +659,18 @@ class CachingBackend(Backend):
         self.peak_inflight = 0
         self.cache_hits = 0
         self.cache_misses = 0
+        self.retries = 0
+        self.transient_failures = 0
 
     def stats(self):
+        """Cache hits and misses, retries (attempts after a call's first), transient
+        failures, the most calls in flight at once, and the inner backend's calls."""
         return {
             "model": self.model,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
+            "retries": self.retries,
+            "transient_failures": self.transient_failures,
             "peak_inflight": self.peak_inflight,
             "inner_calls": dict(getattr(self.inner, "calls", {})),
         }
@@ -731,7 +739,7 @@ class CachingBackend(Backend):
                 return _MISS
             (value,) = struct.unpack("<d", raw)
             return value if math.isfinite(value) else _MISS
-        if len(raw) % 8:
+        if len(raw) % 8 or self.embed_dim not in (None, len(raw) // 8):
             return _MISS
         vec = struct.unpack(f"<{len(raw) // 8}d", raw)
         # every backend returns a unit vector, so an all-zero one is as corrupt as a NaN
@@ -771,14 +779,19 @@ class CachingBackend(Backend):
             started, started_cpu = time.perf_counter(), time.thread_time()
             last = None
             value = _MISS
+            failures = 0
             for attempt in range(self.retry_budget + 1):
                 try:
                     value = compute()
                     break
                 except TransientBackendError as exc:
                     last = exc
+                    failures += 1
                     log.warning("transient %s failure (attempt %d): %s", op, attempt + 1, exc)
             endpoint_answered(time.perf_counter() - started, time.thread_time() - started_cpu)
+            with self._lock:
+                self.retries += min(failures, self.retry_budget)
+                self.transient_failures += failures
             if value is _MISS:
                 raise BackendError(
                     f"{op} failed after {self.retry_budget} retries: {last}"

@@ -9,9 +9,10 @@
     tracedistill stats      --config cfg.json [--data file.jsonl | --strategy few]
 
 Retrieval depth comes only from the config's `k`; filter writes every
-strategy's dataset and export all three subtask files of its strategy.
-Every run writes <workdir>/logs/<cmd>_stats.json (call counts, and for
-infer each instance's per-stage seconds), then, last, its manifest
+strategy's dataset and export all four subtask files of its strategy.
+Every run writes <workdir>/logs/<cmd>_stats.json (call counts and retries,
+and for infer each cascade stage's count, sum, p50, p95 and max seconds,
+whatever the pool's size), then, last, its manifest
 <workdir>/manifests/<cmd>.json (config hash, input hashes, output hashes,
 format versions); a run that fails writes neither. Manifests contain no
 timestamps: rerunning a subcommand on unchanged inputs reproduces it byte
@@ -43,7 +44,7 @@ from pathlib import Path
 
 from . import __version__
 from .backends import CACHE_SCHEMA_VERSION, BackendError, CacheError, ConfigError
-from .cascade import BACKEND_FAILED, CascadeError, CascadePipeline, write_predictions
+from .cascade import BACKEND_FAILED, STAGES, CascadeError, CascadePipeline, write_predictions
 from .config import CONFIG_SCHEMA_VERSION, build_backends, load_config
 from .corpus import (
     SFT_HEADER,
@@ -324,10 +325,6 @@ def cmd_infer(run):
     results = pipeline.run_batch(instances)
     out_path = Path(run.args.out) if run.args.out else config.workdir / "predictions.jsonl"
     write_predictions(out_path, results)
-    stage_seconds = {
-        r.instance_id: {name: round(s.finished - s.started, 6) for name, s in r.stages.items()}
-        for r in results
-    }
     backend_failed = sum(1 for r in results if BACKEND_FAILED in r.flags)
     flagged = sum(1 for r in results if r.flags)
     # however ``--out`` spells it, the manifest holds the file if it lies in the workdir
@@ -335,10 +332,34 @@ def cmd_infer(run):
     inside = written.is_relative_to(workdir)
     return (
         [config.workdir / written.relative_to(workdir)] if inside else [],
-        {"backend_failed": backend_failed, "stage_seconds": stage_seconds},
+        {"backend_failed": backend_failed, "stage_seconds": stage_seconds(results)},
         f"ran cascade on {len(results)} instances ({flagged} flagged, "
         f"{backend_failed} failed at the backend) -> {out_path}",
     )
+
+
+def _nearest_rank(ordered, percent):
+    """The nearest-rank ``percent`` percentile of the sorted, non-empty ``ordered``."""
+    return ordered[-(-len(ordered) * percent // 100) - 1]
+
+
+def stage_seconds(results):
+    """Per cascade stage: the count, sum, p50, p95 and max of its seconds over the
+    instances it ran on (a stage that ran holds a raw answer; a stage that never
+    ran has None for p50, p95 and max), and how many instances skipped it."""
+    summary = {}
+    for name in STAGES:
+        stages = [r.stages[name] for r in results]
+        seconds = sorted(round(s.finished - s.started, 6) for s in stages if s.raw)
+        summary[name] = {
+            "count": len(seconds),
+            "sum": round(sum(seconds), 6),
+            "p50": _nearest_rank(seconds, 50) if seconds else None,
+            "p95": _nearest_rank(seconds, 95) if seconds else None,
+            "max": seconds[-1] if seconds else None,
+            "skipped": len(stages) - len(seconds),
+        }
+    return summary
 
 
 def cmd_eval(run):
@@ -412,7 +433,7 @@ def build_parser():
     add("synthesize", "synthesize QP/UCoT annotations for the question pool")
     add("filter", "structural + reward filtering into every strategy's dataset")
 
-    p = add("export", "write the QP/CP/CV SFT training files for a filtered dataset")
+    p = add("export", "write the QP/CP/CV/CV_evidence SFT files for a filtered dataset")
     p.add_argument("--strategy", choices=STRATEGIES, default=None)
 
     p = add("infer", "run the Parser/Decomposer/Verifier cascade on a test file")

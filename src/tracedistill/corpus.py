@@ -26,10 +26,11 @@ Canonical record fields:
 
 Step keys are accepted in any capitalisation ("Statement" == "statement")
 and verification is accepted as a JSON boolean or a "True"/"False" string;
-emission always uses lowercase keys and the string form. SFT exports are
-line-delimited instruction/input/target triples under a `#sft-v1` header
-line. Every output, stats and manifest file the package writes goes through
-``replacing``, so a write that fails leaves the previous file as it was.
+emission always uses lowercase keys and the string form. An SFT export
+file is the `#sft-v2` header line, then one instruction/input/target row
+per line, each built by ``prompts.sft_rows``. Every output, stats and
+manifest file the package writes goes through ``replacing``, so a write
+that fails leaves the previous file as it was.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from pathlib import Path
 from . import prompts
 
 CHOICE_LABELS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-SFT_HEADER = "#sft-v1"
-SUBTASKS = ("QP", "CP", "CV")
+SFT_HEADER = "#sft-v2"
+SUBTASKS = ("QP", "CP", "CV", "CV_evidence")
 HASH_BLOCK = 1 << 16
 
 
@@ -389,42 +390,11 @@ def compute_stats(traces):
     )
 
 
-def _sft_rows(example, subtask):
-    rendered = format_question(example.instance)
-    if subtask == "QP":
-        yield {
-            "instruction": prompts.QP_INSTRUCTION,
-            "input": rendered,
-            "target": json.dumps(example.question_parsing, ensure_ascii=False),
-        }
-    elif subtask == "CP":
-        text = rendered
-        if example.instance.cot:
-            text = f"{rendered}\n\nCoT:\n{example.instance.cot}"
-        yield {
-            "instruction": prompts.CP_INSTRUCTION,
-            "input": text,
-            "target": json.dumps([s.statement for s in example.trace.steps], ensure_ascii=False),
-        }
-    else:
-        conditions = json.dumps(example.question_parsing, ensure_ascii=False)
-        for step in example.trace.steps:
-            yield {
-                "instruction": prompts.CV_VERIFY_INSTRUCTION,
-                "input": (
-                    f"{rendered}\n\nConditions:\n{conditions}\n\n"
-                    f"Statement:\n{step.statement}\n\nEvidence:\n{step.evidence}"
-                ),
-                "target": verification_str(step.verification),
-            }
-
-
 def export_sft(records, subtask, path):
-    """Write instruction/input/target triples for one subtask; returns the line count.
+    """Write one subtask's ``prompts.sft_rows`` of ``records``; returns the line count.
 
-    QP and CP emit one line per trace; CV emits one line per step. Output
-    order follows input order. The first line of the file is the format
-    header.
+    QP, CP and CV_evidence emit one line per trace; CV emits one line per
+    step. Output order follows input order, under the format header.
     """
     if subtask not in SUBTASKS:
         raise ValueError(f"unknown subtask {subtask!r}; expected one of {SUBTASKS}")
@@ -432,7 +402,7 @@ def export_sft(records, subtask, path):
     with replacing(path) as fh:
         fh.write(SFT_HEADER + "\n")
         for example in records:
-            for row in _sft_rows(example, subtask):
+            for row in prompts.sft_rows(example, subtask):
                 fh.write(json.dumps(row, ensure_ascii=False) + "\n")
                 count += 1
     return count

@@ -15,7 +15,9 @@ by the same rule: `demo_pairs_qp` and `demo_pairs_ucot` feed synthesis and
 reward scoring, and `demo_pairs_full` is the block every cascade stage
 shares byte for byte. `seed_cards` renders each seed's three cards once, so
 a command that builds it up front only looks cards up per prompt. The
-induction meta-prompts (reverse and judge) live here too.
+induction meta-prompts (reverse and judge) live here too, and so does
+`sft_rows`: an SFT row is a cascade stage's instruction, the `input_block`
+that ends its prompts, and as target the gold block that stage parses.
 """
 
 from __future__ import annotations
@@ -149,9 +151,14 @@ def render_prompt(subtask, instruction, demos, instance, statements=None, eviden
         parts += ["", SECTION_EXAMPLES]
         for demo_in, demo_out in demos:
             parts += ["", demo_in.strip(), "", demo_out.strip()]
-    query = _query(subtask, instance, statements, evidence).strip()
-    parts += ["", SECTION_INPUT, "", query, "", OUTPUT_HEADERS[subtask]]
+    parts += ["", input_block(subtask, instance, statements, evidence)]
     return "\n".join(parts)
+
+
+def input_block(subtask, instance, statements=None, evidence=None):
+    """The ###Input### marker, ``_query``'s block and the output header."""
+    query = _query(subtask, instance, statements, evidence).strip()
+    return "\n".join([SECTION_INPUT, "", query, "", OUTPUT_HEADERS[subtask]])
 
 
 def _dump(value):
@@ -193,6 +200,26 @@ def gold_output(example, subtask):
     if subtask == "QP":
         return _dump(example.question_parsing)
     return _dump(corpus.trace_to_json(example.trace))
+
+
+def sft_rows(example, subtask):
+    """An example's rows for export file ``subtask``, targets dumped as ``gold_output``
+    does: one row for QP, CP and CV_evidence, one CV_verify row per step for CV."""
+    instance, steps = example.instance, example.trace.steps
+    statements = [step.statement for step in steps]
+    if subtask == "QP":
+        rows = [(QP_INSTRUCTION, input_block("QP", instance), example.question_parsing)]
+    elif subtask == "CP":
+        rows = [(CP_INSTRUCTION, input_block("CP", instance), statements)]
+    elif subtask == "CV_evidence":
+        block = input_block("CV_evidence", instance, statements)
+        rows = [(CV_EVIDENCE_INSTRUCTION, block, [step.evidence for step in steps])]
+    else:
+        rows = [(CV_VERIFY_INSTRUCTION,
+                 input_block("CV_verify", instance, [s.statement], [s.evidence]),
+                 [corpus.verification_str(s.verification)]) for s in steps]
+    return [{"instruction": instruction, "input": block, "target": _dump(target)}
+            for instruction, block, target in rows]
 
 
 def _answer_block(example, subtask):

@@ -320,6 +320,7 @@ def test_cached_embedding_is_the_vector_bit_for_bit_as_float64_bytes(tmp_path):
         ("embed", '{"result": [true, false]}'),
         ("embed", '{"result": ["0.6", "0.8"]}'),
         ("embed", '{"result": [1, 0.5]}'),
+        pytest.param("embed", _f8([0.6, 0.8]), id="embed-of-another-embed-dim"),
         ("embed", None),
         ("generate", bytes(8)),
         ("generate", None),
@@ -364,7 +365,7 @@ def test_cached_value_the_operation_could_not_return_is_a_miss(tmp_path, op, row
         ("reward", struct.pack("<d", 3.0), 3.0),
         ("reward", bytes(8), 0.0),
         ("score", struct.pack("<d", -1.5), -1.5),
-        ("embed", _f8([1.0, 0.5]), (1.0, 0.5)),
+        ("embed", _f8([1.0] + [0.5] * 63), (1.0,) + (0.5,) * 63),
     ],
 )
 def test_cached_value_the_operation_could_return_is_a_hit(tmp_path, op, row, value):
@@ -377,6 +378,23 @@ def test_cached_value_the_operation_could_return_is_a_hit(tmp_path, op, row, val
     assert type(got) is type(value)
     assert got == value
     assert sum(inner.calls.values()) == 0
+
+
+class _WidthlessEmbedder:
+    """An embedder that, as an HTTP model does, declares no ``embed_dim``."""
+
+    model = MockBackend().model
+
+    def embed(self, text):
+        raise AssertionError("a cached vector should be served")
+
+
+def test_cached_vector_of_any_length_is_a_hit_when_the_backend_declares_no_width(tmp_path):
+    first = CachingBackend(MockBackend(embed_dim=8), cache_dir=tmp_path)
+    expected = first.embed("a question")
+    first.close()
+    assert len(expected) == 8
+    assert CachingBackend(_WidthlessEmbedder(), cache_dir=tmp_path).embed("a question") == expected
 
 
 # sha256 over ("2", "mock-model", op, *fields), each as its 8-byte little-endian
@@ -647,6 +665,18 @@ def test_retry_budget_exhaustion_is_backend_error():
     backend = CachingBackend(inner, retry_budget=2)
     with pytest.raises(BackendError):
         backend.generate(_user("flaky\n\nQuestion Parsing:"), PARAMS)
+
+
+def test_stats_count_retries_and_transient_failures():
+    backend = CachingBackend(MockBackend(transient_failures=4), retry_budget=2)
+    with pytest.raises(BackendError):
+        backend.generate(_user("flaky\n\nQuestion Parsing:"), PARAMS)
+    backend.generate(_user("flaky\n\nQuestion Parsing:"), PARAMS)
+    backend.generate(_user("steady\n\nQuestion Parsing:"), PARAMS)
+    stats = backend.stats()
+    # three failed attempts, then one failure retried once; the last call needs no retry
+    assert (stats["transient_failures"], stats["retries"]) == (4, 3)
+    assert (stats["cache_misses"], stats["inner_calls"]["generate"]) == (2, 6)
 
 
 def test_inflight_bound_respected_under_concurrency():

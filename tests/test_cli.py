@@ -29,8 +29,9 @@ from tracedistill import backends as backends_module
 from tracedistill import prompts
 from tracedistill.backends import build_reward_payload
 from tracedistill.cascade import STAGES as CASCADE_STAGES
-from tracedistill.cli import WorkdirLockedError, main, workdir_lock
-from tracedistill.corpus import instance_to_json, seed_to_json, trace_to_json
+from tracedistill.cascade import CascadeOutput, StageResult
+from tracedistill.cli import WorkdirLockedError, main, stage_seconds, workdir_lock
+from tracedistill.corpus import SFT_HEADER, SUBTASKS, instance_to_json, seed_to_json, trace_to_json
 from tracedistill.filtering import build_reward_prompts
 from tracedistill.retrieval import build_index, top_k
 from tracedistill.synthesis import SynthesizedRecord, record_to_json
@@ -314,7 +315,7 @@ def test_export_cv_lines_match_stats(tmp_path):
     ]
     expected = sum(len(r["cot_parsing"]) for r in kept)
     lines = (workdir / "sft" / "structure_CV.jsonl").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "#sft-v1"
+    assert lines[0] == SFT_HEADER
     assert len(lines) - 1 == expected
 
 
@@ -475,8 +476,9 @@ def test_infer_embeds_the_current_seed_file_not_index_bin(tmp_path):
     assert main(["infer", "--config", str(config)]) == 0
 
 
-def test_cached_vectors_of_another_embed_dim_are_a_data_error(tmp_path, capsys):
-    # the embed call's cache key holds the model and the text, not embed_dim
+def test_cached_vectors_of_another_embed_dim_are_misses(tmp_path, capsys):
+    # the embed call's cache key holds the model and the text, not embed_dim;
+    # a cached vector of another length is one the mock could not have returned
     config = make_config(tmp_path)
     for command in ("induce", "synthesize"):
         assert main([command, "--config", str(config)]) == 0
@@ -486,12 +488,14 @@ def test_cached_vectors_of_another_embed_dim_are_a_data_error(tmp_path, capsys):
     pool = _read_jsonl(tmp_path / "pool.jsonl")
     pool.append(instance_to_json(make_example("pool-new", n_steps=2).instance))
     write_jsonl(tmp_path / "pool.jsonl", pool)
-    capsys.readouterr()
-    assert main(["infer", "--config", str(config)]) == 5
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "RetrievalError"
-    assert "dimension 8" in err["message"] and "16" in err["message"]
-    assert "embed_dim" in err["message"]
+    assert main(["infer", "--config", str(config)]) == 0, capsys.readouterr().err
+    fresh = make_config(
+        tmp_path / "fresh", backend_overrides={"embedding": _mock_profile("embed-mock", embed_dim=8)}
+    )
+    write_jsonl(tmp_path / "fresh" / "pool.jsonl", pool)
+    assert main(["infer", "--config", str(fresh)]) == 0
+    predictions = (tmp_path / "work" / "predictions.jsonl").read_bytes()
+    assert predictions == (tmp_path / "fresh" / "work" / "predictions.jsonl").read_bytes()
 
 
 def test_synthesize_output_follows_the_current_pool(tmp_path):
@@ -1080,11 +1084,32 @@ def test_every_command_writes_its_stats_then_its_manifest(tmp_path):
     assert not list(workdir.rglob("*.tmp"))
 
     stats = json.loads((workdir / "logs" / "infer_stats.json").read_text(encoding="utf-8"))
-    assert sorted(stats["stage_seconds"]) == [f"pool-{i:02d}" for i in range(6)]
+    assert set(stats["stage_seconds"]) == set(CASCADE_STAGES)
     for seconds in stats["stage_seconds"].values():
-        assert set(seconds) == set(CASCADE_STAGES)
-        assert all(value >= 0 for value in seconds.values())
+        assert set(seconds) == {"count", "sum", "p50", "p95", "max", "skipped"}
+        assert (seconds["count"], seconds["skipped"]) == (6, 0)
+        assert 0 <= seconds["p50"] <= seconds["p95"] <= seconds["max"] <= seconds["sum"]
+    for role in stats["backends"].values():
+        assert (role["retries"], role["transient_failures"]) == (0, 0)
     assert not (workdir / "logs" / "infer_timings.json").exists()
+
+
+def _timed_output(ident, seconds, ran=True):
+    stage = StageResult(raw=["[]"] if ran else [], started=2.0, finished=2.0 + seconds)
+    return CascadeOutput(instance_id=ident, stages=dict.fromkeys(CASCADE_STAGES, stage))
+
+
+def test_stage_seconds_summarise_each_stage_whatever_the_batch_size():
+    one = stage_seconds([_timed_output("a", 0.25)])
+    figures = {"count": 1, "sum": 0.25, "p50": 0.25, "p95": 0.25, "max": 0.25, "skipped": 0}
+    assert one == dict.fromkeys(CASCADE_STAGES, figures)
+    batch = [_timed_output(f"i{n}", n / 100) for n in range(1, 21)]
+    many = stage_seconds(batch + [_timed_output("skipped", 9.0, ran=False)])
+    figures = {"count": 20, "sum": 2.1, "p50": 0.1, "p95": 0.19, "max": 0.2, "skipped": 1}
+    assert many == dict.fromkeys(CASCADE_STAGES, figures)
+    none = stage_seconds([_timed_output("skipped", 0.0, ran=False)])
+    figures = {"count": 0, "sum": 0, "p50": None, "p95": None, "max": None, "skipped": 1}
+    assert none == dict.fromkeys(CASCADE_STAGES, figures)
 
 
 def test_a_command_that_fails_writes_no_stats_and_no_manifest(tmp_path, capsys):
@@ -1109,7 +1134,7 @@ def test_commands_that_call_no_backend_create_no_call_cache(tmp_path):
         stats = json.loads((workdir / "logs" / f"{argv[0]}_stats.json").read_text())
         assert (stats["backend_calls"], stats["cache_hits"]) == (0, 0)
     assert json.loads((workdir / "logs" / "export_stats.json").read_text())["sft_lines"] == {
-        "QP": 1, "CP": 1, "CV": 2
+        "QP": 1, "CP": 1, "CV": 2, "CV_evidence": 1
     }
     assert not (workdir / "cache").exists()
 
@@ -1198,9 +1223,9 @@ def test_a_dataset_file_with_no_records(tmp_path, capsys, reader, content):
         assert (workdir / "filtered_average.jsonl").read_text(encoding="utf-8") == ""
     elif reader == "filtered":
         assert code == 0
-        for subtask in ("QP", "CP", "CV"):
+        for subtask in SUBTASKS:
             sft = workdir / "sft" / f"average_{subtask}.jsonl"
-            assert sft.read_text(encoding="utf-8") == "#sft-v1\n"
+            assert sft.read_text(encoding="utf-8") == SFT_HEADER + "\n"
     else:
         assert code == 5
         err = json.loads(capsys.readouterr().err)["error"]

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import GOLD_QP, gold_example, gold_record_dict, make_example, write_jsonl
 from tracedistill.corpus import (
+    SFT_HEADER,
     DatasetStats,
     EmptyDatasetError,
     ReasoningTrace,
@@ -152,7 +153,7 @@ def test_round_trip_load_emit_load(tmp_path):
 
 def _data_lines(path):
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "#sft-v1"
+    assert lines[0] == SFT_HEADER
     return lines[1:]
 
 
@@ -165,7 +166,7 @@ def test_export_sft_cv_one_line_per_step(tmp_path):
     assert len(lines) == 7
     row = json.loads(lines[0])
     assert set(row) == {"instruction", "input", "target"}
-    assert row["target"] in ("True", "False")
+    assert json.loads(row["target"]) in (["True"], ["False"])
 
 
 def test_export_sft_qp_serializes_condition_list(tmp_path):

@@ -8,6 +8,10 @@ alternative inside a group. A flag removed from the parser but left in the
 docs fails here. The README Configuration section must name, in backticks,
 every top-level config key, every backend profile field and every match
 policy field, so a setting added to the code but not the docs fails too.
+The Pipeline stages row for `export` must name one file per
+`corpus.SUBTASKS` entry, and the Data formats paragraph on SFT exports
+the current `corpus.SFT_HEADER`, so an added export file or a header bump
+cannot go undocumented.
 """
 
 import re
@@ -19,6 +23,7 @@ import pytest
 from tracedistill import cli
 from tracedistill.backends import BackendProfile, ConfigError
 from tracedistill.config import CONFIG_KEYS
+from tracedistill.corpus import SFT_HEADER, SUBTASKS
 from tracedistill.evalharness import MatchPolicy
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -71,3 +76,16 @@ def test_configuration_names_every_setting():
     names += [f.name for cls in (BackendProfile, MatchPolicy) for f in fields(cls)]
     missing = [name for name in names if f"`{name}`" not in section]
     assert not missing, f"README Configuration does not name {missing}"
+
+
+def test_export_row_names_one_file_per_subtask():
+    rows = _readme_section("Pipeline stages").splitlines()
+    [row] = [line for line in rows if line.startswith("| `export`")]
+    [files] = re.findall(r"`sft/\{strategy\}_\{([^}]*)\}\.jsonl`", row)
+    assert sorted(files.split(",")) == sorted(SUBTASKS)
+
+
+def test_sft_exports_paragraph_names_the_header():
+    paragraphs = _readme_section("Data formats").split("\n\n")
+    [paragraph] = [p for p in paragraphs if p.startswith("SFT exports")]
+    assert f"`{SFT_HEADER}`" in paragraph

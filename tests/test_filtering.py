@@ -12,7 +12,7 @@ from conftest import (
     make_example,
 )
 from tracedistill.backends import BackendError, CachingBackend, MockBackend
-from tracedistill.corpus import compute_stats, export_sft, trace_to_json
+from tracedistill.corpus import SFT_HEADER, compute_stats, export_sft, trace_to_json
 from tracedistill.filtering import (
     STRATEGIES,
     FilterOutcome,
@@ -25,6 +25,7 @@ from tracedistill.filtering import (
     strategy_score,
     to_training_example,
 )
+from tracedistill.prompts import input_block
 from tracedistill.retrieval import build_index, top_k
 from tracedistill.synthesis import SynthesizedRecord
 
@@ -160,7 +161,7 @@ def _cv_rows(examples, tmp_path):
     path = tmp_path / "cv.jsonl"
     count = export_sft(examples, "CV", path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "#sft-v1"
+    assert lines[0] == SFT_HEADER
     rows = [json.loads(line) for line in lines[1:]]
     assert count == len(rows)
     return rows
@@ -170,9 +171,10 @@ def test_expand_cv_row_count_and_labels(tmp_path):
     example = gold_example()
     rows = _cv_rows([example], tmp_path)
     assert len(rows) == 4
-    assert [r["target"] for r in rows] == ["True", "True", "False", "False"]
-    assert rows[0]["input"].startswith(example.instance.question)
-    assert json.dumps(example.question_parsing, ensure_ascii=False) in rows[0]["input"]
+    assert [json.loads(r["target"]) for r in rows] == [["True"], ["True"], ["False"], ["False"]]
+    for row, step in zip(rows, example.trace.steps):
+        query = input_block("CV_verify", example.instance, [step.statement], [step.evidence])
+        assert row["input"] == query
 
 
 def test_expand_cv_counts_match_stats(tmp_path):

@@ -36,8 +36,7 @@ config object), ``cli.Run.instruction`` (one induced instruction) and
 ``retrieval.load_index`` (one index, read by no stage).
 Only ``prompts._query`` names ``corpus.format_question``, so the subtask
 alone decides what a prompt's input shows (the question, its CoT, the
-statements, the evidence); ``corpus._sft_rows`` names it too, for the SFT
-export's own input format.
+statements, the evidence), for the cascade and the SFT export alike.
 Every module-level function and class is named somewhere in the package
 outside its own definition, so no production helper serves only tests;
 ``retrieval.load_index`` is the one exception, kept while the benchmark
@@ -399,21 +398,21 @@ def references(source, names):
 def test_detector_finds_references_called_or_not():
     source = (
         "from .corpus import format_question\n"
-        "def _sft_rows(example):\n"
+        "def _row(example):\n"
         "    return format_question(example.instance)\n"
         "def f(xs):\n"
         "    return list(map(corpus.format_question, xs))\n"
         "def format_question(x):\n"
         "    return 'format_question'\n"
     )
-    assert references(source, {"format_question"}) == [("_sft_rows", 3), ("f", 5)]
+    assert references(source, {"format_question"}) == [("_row", 3), ("f", 5)]
 
 
 # the functions that may show a question; the reason is in the module docstring
-QUESTION_FORMATTERS = {("prompts.py", "_query"), ("corpus.py", "_sft_rows")}
+QUESTION_FORMATTERS = {("prompts.py", "_query")}
 
 
-def test_only_prompts_query_and_sft_rows_format_questions():
+def test_only_prompts_query_formats_questions():
     """Every prompt's input block comes from ``prompts._query``, decided by the subtask."""
     found = constructions_outside({"format_question"}, QUESTION_FORMATTERS, find=references)
     assert found == {}

@@ -22,7 +22,7 @@ from tracedistill.cascade import (
     parse_question,
     verify_steps,
 )
-from tracedistill.corpus import export_sft
+from tracedistill.corpus import SUBTASKS, export_sft
 from tracedistill.filtering import score_record
 from tracedistill.induction import InductionConfig, generate_candidates, score_gen, score_pref
 from tracedistill.prompts import gold_output
@@ -39,9 +39,10 @@ GOLDEN = {
     "induction_QP": "5ffae2503a9726b705b506c684db5d408eee5371dc3b9b223cdf263d4dff3717",
     "induction_UCoT": "bab32b46af0a82fb65b3cb7c5b87faa2edb102e9b4939f8675a0a90a93c9b37f",
     "induction_judge": "f80ac86c9bf58758f68046138019f040695d0f5f801ca4052537814b55efdb62",
-    "sft_QP": "dd9dfc811d7fb2f8669f4d89c03af7a9db4ca8d3f736e22c91607f841cba39e2",
-    "sft_CP": "f9064504436a9eda4f406e375952e11f05ad7cdb8f123645808bd321dc397d4f",
-    "sft_CV": "18282b7ebfb4f6af3f9917c788a6307f7492d55429f46c1f41ac094df30c8845",
+    "sft_QP": "2837e8080a1e9e8aade56b7c19314a979b939c8fa7512f7673074adcb5e211f5",
+    "sft_CP": "3032c5f24905e813e754408892440faa565d7dc36de42026b5255c65c254a1ad",
+    "sft_CV": "de9fabfe65afa19e5dbed3ecf0c023d0894e23744bca98e477634770c616931d",
+    "sft_CV_evidence": "13fec7d297a506035bacd09b7cf04277b83f47c730464e327f9e83cc545622f0",
 }
 
 
@@ -168,7 +169,7 @@ def _rendered(tmp_path):
     for subtask in ("QP", "UCoT"):
         out[f"induction_{subtask}"] = _render_induction(seeds, subtask)
     out["induction_judge"] = _render_judge(seeds)
-    for subtask in ("QP", "CP", "CV"):
+    for subtask in SUBTASKS:
         out[f"sft_{subtask}"] = _render_sft(seeds, subtask, tmp_path)
     return out
 

@@ -4,19 +4,25 @@ Every subcommand runs once, in order, on a copy of ``sample_data/``, and
 each manifest (minus ``package_version``) must equal the table below. The
 manifests hash every input and output file, so a change that moves one
 output byte, one recorded input or one format version fails here; a
-deliberate re-baseline is a reviewed diff of this table.
+deliberate re-baseline is a reviewed diff of this table. The SFT rows that
+the sample's ``export`` writes must also be the prompts the cascade sends,
+and their targets what its stages parse.
 """
 
 import json
 import shutil
 from pathlib import Path
 
+from tracedistill.backends import GenParams
+from tracedistill.cascade import decompose_cot, extract_evidence, parse_question, verify_steps
 from tracedistill.cli import main
+from tracedistill.corpus import SFT_HEADER, SUBTASKS, parse_seed_record, read_records
+from tracedistill.prompts import SECTION_INSTRUCTION, render_prompt
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
 
 CONFIG_HASH = "216c09b3e5202fc3c3832e91edc47729dab87f7f78bcba80114bf561ab301ff8"
-SCHEMA_VERSIONS = {"cache": 2, "config": 1, "index": "seed-index-v1", "sft": "#sft-v1"}
+SCHEMA_VERSIONS = {"cache": 2, "config": 1, "index": "seed-index-v1", "sft": "#sft-v2"}
 
 SEED = "59f453c7103b1f7b715afd8e6a814917a2045e9166f374e349bbcc0a1d551e13"
 POOL = "352fc3b246438bd0fb0c46e73efd4c09ea019ae2110b1a34fdfdff17e18de2f6"
@@ -58,9 +64,10 @@ PINNED = {
     "export": (
         {"filtered": FILTERED},
         {
-            "sft/average_CP.jsonl": "dd0f9e17efe0dca5cca5fae4d5b167d13b634547552f9fcdc44dad063f66f31f",
-            "sft/average_CV.jsonl": "968f84aaef977ce4cb9a83effc33a0ad7f7b5c98a7d0d04de1af2195a12108d7",
-            "sft/average_QP.jsonl": "664dce93cad1ddd43d86fb9190d331d8f4cd87456107b948cf417f5ef65d7837",
+            "sft/average_CP.jsonl": "4fd17dca4e8d744d9e8ca8972da2c931a37a2626fd2fdcbbb4c60bf031647ce3",
+            "sft/average_CV.jsonl": "122eaf926558ff2f92b77e7fa9e3515b9776b3e4d784208619189beab5e86ea3",
+            "sft/average_CV_evidence.jsonl": "5e25548875003bc965afeab27691ec85d7eae050b66b726864ac7de3eec3dba8",
+            "sft/average_QP.jsonl": "f2d43f5f45db70d2559a836793bd32abb8bab3f3e2c89db2c3d8baa21832436f",
         },
     ),
     "infer": ({"pool": POOL, "seed": SEED}, {"predictions.jsonl": PREDICTIONS}),
@@ -72,10 +79,14 @@ PINNED = {
 }
 
 
-def test_sample_pipeline_manifests_match_the_pinned_table(tmp_path, capsys):
+def _sample_config(tmp_path):
     for name in ("config.json", "seed.jsonl", "pool.jsonl", "gold.jsonl"):
         shutil.copy(SAMPLE / name, tmp_path / name)
-    config = str(tmp_path / "config.json")
+    return str(tmp_path / "config.json")
+
+
+def test_sample_pipeline_manifests_match_the_pinned_table(tmp_path, capsys):
+    config = _sample_config(tmp_path)
     for command in PINNED:
         assert main([command, "--config", config]) == 0, capsys.readouterr().err
     manifests = tmp_path / "workdir" / "manifests"
@@ -89,3 +100,70 @@ def test_sample_pipeline_manifests_match_the_pinned_table(tmp_path, capsys):
             "inputs": inputs,
             "outputs": outputs,
         }, command
+
+
+class _Reply:
+    """A generation backend that answers every prompt with one text and records the prompts."""
+
+    def __init__(self, text):
+        self.text = text
+        self.prompts = []
+
+    def generate(self, messages, params):
+        self.prompts.extend(message.content for message in messages)
+        return self.text
+
+
+def _export_cases(example, subtask):
+    """(prompt subtask, statements, evidence, gold value) of each row that ``export``
+    writes for ``example`` into its ``subtask`` file, in file order."""
+    steps = example.trace.steps
+    statements = [step.statement for step in steps]
+    if subtask == "QP":
+        return [("QP", None, None, example.question_parsing)]
+    if subtask == "CP":
+        return [("CP", None, None, statements)]
+    if subtask == "CV_evidence":
+        return [("CV_evidence", statements, None, [step.evidence for step in steps])]
+    return [("CV_verify", [s.statement], [s.evidence], [s.verification]) for s in steps]
+
+
+# prompt subtask -> the cascade stage that sends that prompt and parses its answer
+STAGE_RUNS = {
+    "QP": lambda instance, statements, evidence, backend: parse_question(
+        instance, [], backend, GenParams()),
+    "CP": lambda instance, statements, evidence, backend: decompose_cot(
+        instance, [], backend, GenParams()),
+    "CV_evidence": lambda instance, statements, evidence, backend: extract_evidence(
+        instance, statements, [], backend, GenParams()),
+    "CV_verify": lambda instance, statements, evidence, backend: verify_steps(
+        instance, statements, evidence, [], backend, GenParams()),
+}
+
+
+def test_every_exported_row_is_a_cascade_prompt_and_its_target_the_parsed_gold(tmp_path, capsys):
+    config = _sample_config(tmp_path)
+    for command in ("induce", "synthesize", "filter", "export"):
+        assert main([command, "--config", config]) == 0, capsys.readouterr().err
+    workdir = tmp_path / "workdir"
+    examples = read_records(workdir / "filtered_average.jsonl", parse_seed_record)
+    assert examples
+    assert set(SUBTASKS) == {"QP", "CP", "CV", "CV_evidence"}
+    for subtask in SUBTASKS:
+        lines = (workdir / "sft" / f"average_{subtask}.jsonl").read_text(encoding="utf-8")
+        header, *lines = lines.splitlines()
+        assert header == SFT_HEADER
+        cases = [(e, *case) for e in examples for case in _export_cases(e, subtask)]
+        assert len(lines) == len(cases), subtask
+        for line, (example, stage, statements, evidence, gold) in zip(lines, cases):
+            row = json.loads(line)
+            prompt = "\n".join([SECTION_INSTRUCTION, row["instruction"], "", row["input"]])
+            instance = example.instance
+            assert prompt == render_prompt(
+                stage, row["instruction"], [], instance, statements, evidence
+            ), subtask
+            backend = _Reply(row["target"])
+            value, result, *flags = STAGE_RUNS[stage](instance, statements, evidence, backend)
+            assert backend.prompts == [prompt], subtask
+            assert value == gold, subtask
+            assert not result.failed and flags in ([], [[]]), subtask
