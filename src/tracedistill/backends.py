@@ -28,9 +28,10 @@ Mock response scheme (tests rely on this being stable):
   objects (corrupted at ``malformed_rate``); "Statements:" yields a JSON
   array of statements; "Evidence:" and "Verdicts:" yield arrays sized to
   the last JSON array found in the prompt; "Instruction:" yields a
-  one-line induced instruction; a line ending in "A, B, tie." yields one
-  of "A"/"B"/"tie". Scripted overrides match markers against that same
-  last line; queued responses are served FIFO before anything else.
+  one-line induced instruction; a line ending in
+  ``prompts.JUDGE_ANSWER_LINE`` yields one of "A"/"B"/"tie". Scripted
+  overrides match markers against that same last line; queued responses
+  are served FIFO before anything else.
 * ``score_completion`` charges each completion character a hash-derived
   cost in [0.02, 0.10] and returns the negated running sum clamped to
   [-100, 0], so extending a completion never raises its score.
@@ -65,7 +66,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import prompts
+from . import corpus, prompts
 
 log = logging.getLogger(__name__)
 
@@ -358,30 +359,27 @@ class MockBackend(Backend):
         if prompts.OUTPUT_HEADERS["CV_verify"] in last:
             wanted = _last_json_array(text)
             n = len(wanted) if wanted is not None else 3
-            verdicts = ["True" if self._sub(digest, 30 + i)[0] % 2 else "False" for i in range(n)]
+            verdicts = [corpus.verification_str(self._sub(digest, 30 + i)[0] % 2) for i in range(n)]
             return json.dumps(verdicts, ensure_ascii=False)
         if prompts.INDUCTION_HEADER in last:
             return (
                 f"Work through the input and return the required structured "
                 f"output (style {digest[:4].hex()})."
             )
-        if last.endswith("A, B, tie."):
+        if last.endswith(prompts.JUDGE_ANSWER_LINE):
             return ("A", "B", "tie")[digest[0] % 3]
         return f"mock response {digest[:6].hex()}"
 
     def _ucot(self, digest):
-        n_steps = 1 + digest[1] % 4
-        steps = []
-        for i in range(n_steps):
-            sub = self._sub(digest, 40 + i)
-            steps.append(
-                {
-                    "statement": f"Statement {i + 1}: {self._phrase(digest, 50 + i)}",
-                    "evidence": f"Evidence {i + 1}: {self._phrase(digest, 60 + i)}",
-                    "verification": "True" if sub[0] % 2 else "False",
-                }
+        steps = [
+            corpus.CoTStep(
+                f"Statement {i + 1}: {self._phrase(digest, 50 + i)}",
+                f"Evidence {i + 1}: {self._phrase(digest, 60 + i)}",
+                bool(self._sub(digest, 40 + i)[0] % 2),
             )
-        raw = prompts._dump(steps)
+            for i in range(1 + digest[1] % 4)
+        ]
+        raw = prompts._dump(corpus.trace_to_json(corpus.ReasoningTrace(steps)))
         if self._unit(self._sub(digest, 91)) < self.malformed_rate:
             mode = digest[2] % 3
             if mode == 0:
@@ -635,11 +633,9 @@ class CachingBackend(Backend):
     ``close()`` releases the connection, and the next access opens it
     again. A file there that SQLite cannot use is a ``CacheError``. With no
     ``cache_dir`` nothing is cached, and every call reaches the wrapped
-    backend (still retried and bounded). Each call that reaches it first
-    calls ``reaching_endpoint``, then, holding its slot, times its attempts
-    in wall and thread CPU seconds and reports them to
-    ``endpoint_answered``, so a ``fan_out`` running on the thread keeps its
-    full width only while calls wait on an endpoint. That width is twice
+    backend (still retried and bounded). Every such call goes through one
+    gate, ``_reach``, so a ``fan_out`` running on the thread keeps its full
+    width only while calls wait on an endpoint. That width is twice
     ``max_inflight``; the semaphore alone caps the calls in flight, and
     ``peak_inflight`` records the most that held it at once.
     """
@@ -754,19 +750,6 @@ class CachingBackend(Backend):
             row = struct.pack("<d", value)
         self._execute("INSERT OR REPLACE INTO calls (key, result) VALUES (?, ?)", (key, row))
 
-    @contextmanager
-    def _slot(self):
-        """Hold one of the ``max_inflight`` slots, counting how many are held at once."""
-        with self._sem:
-            with self._lock:
-                self._inflight += 1
-                self.peak_inflight = max(self.peak_inflight, self._inflight)
-            try:
-                yield
-            finally:
-                with self._lock:
-                    self._inflight -= 1
-
     def _call(self, op, fields, compute):
         key = None if self.cache_dir is None else self._key(op, *fields)
         cached = _MISS if key is None else self._load(op, key)
@@ -774,33 +757,50 @@ class CachingBackend(Backend):
             with self._lock:
                 self.cache_hits += 1
             return cached
-        reaching_endpoint()
-        with self._slot():
-            started, started_cpu = time.perf_counter(), time.thread_time()
-            last = None
-            value = _MISS
-            failures = 0
-            for attempt in range(self.retry_budget + 1):
-                try:
-                    value = compute()
-                    break
-                except TransientBackendError as exc:
-                    last = exc
-                    failures += 1
-                    log.warning("transient %s failure (attempt %d): %s", op, attempt + 1, exc)
-            endpoint_answered(time.perf_counter() - started, time.thread_time() - started_cpu)
-            with self._lock:
-                self.retries += min(failures, self.retry_budget)
-                self.transient_failures += failures
-            if value is _MISS:
-                raise BackendError(
-                    f"{op} failed after {self.retry_budget} retries: {last}"
-                ) from last
+        value = self._reach(op, compute)
         with self._lock:
             self.cache_misses += 1
         if key is not None:
             self._store(key, value)
         return value
+
+    def _reach(self, op, compute):
+        """A missed call's value from the wrapped backend: grow this thread's fan-out,
+        if any, then in one slot time the attempts, in wall and thread CPU seconds,
+        for its verdict. A failure that is not transient escapes with no verdict."""
+        drain = getattr(_fanning, "drain", None)
+        if drain is not None:
+            drain.grow()
+        with self._sem:
+            with self._lock:
+                self._inflight += 1
+                self.peak_inflight = max(self.peak_inflight, self._inflight)
+            try:
+                started, started_cpu = time.perf_counter(), time.thread_time()
+                last = None
+                value = _MISS
+                failures = 0
+                for attempt in range(self.retry_budget + 1):
+                    try:
+                        value = compute()
+                        break
+                    except TransientBackendError as exc:
+                        last = exc
+                        failures += 1
+                        log.warning("transient %s failure (attempt %d): %s", op, attempt + 1, exc)
+                if drain is not None:
+                    drain.answered(time.perf_counter() - started, time.thread_time() - started_cpu)
+                with self._lock:
+                    self.retries += min(failures, self.retry_budget)
+                    self.transient_failures += failures
+                if value is _MISS:
+                    raise BackendError(
+                        f"{op} failed after {self.retry_budget} retries: {last}"
+                    ) from last
+                return value
+            finally:
+                with self._lock:
+                    self._inflight -= 1
 
     def generate(self, messages, params):
         fields = (
@@ -811,6 +811,9 @@ class CachingBackend(Backend):
         return self._call("generate", fields, lambda: self.inner.generate(messages, params))
 
     def score_completion(self, messages, completion):
+        # a backend that serves no scoring raises its CapabilityError before any key, store or slot
+        if type(self.inner).score_completion is Backend.score_completion:
+            return self.inner.score_completion(messages, completion)
         return self._call(
             "score",
             (*_message_fields(messages), completion),
@@ -836,9 +839,9 @@ class _Drain:
     raised names its item. ``live`` counts the tasks submitted and not yet
     ended, ``waited`` is the verdict on the latest endpoint call one of them
     made, and the tasks leave the drain on their threads for
-    ``reaching_endpoint`` and ``endpoint_answered`` to find. These are
-    methods, not closures that refer to one another, so no reference cycle
-    keeps the items alive once the fan-out returns.
+    ``CachingBackend._reach`` to find. These are methods, not closures that
+    refer to one another, so no reference cycle keeps the items alive once
+    the fan-out returns.
     """
 
     def __init__(self, fn, items, pool, width):
@@ -870,6 +873,20 @@ class _Drain:
             if not self.stop:
                 for _ in range(min(self.width - self.live, len(self.items) - self.next)):
                     self.submit()
+
+    def answered(self, wall, cpu):
+        """Set ``waited`` from one endpoint call's ``wall`` and thread ``cpu`` seconds.
+
+        A call of at least one switch interval waited on its endpoint; a
+        shorter one that kept the CPU for half its ``wall`` seconds or more was
+        computed in-process. Anything else (a short socket wait, a call
+        stretched by waiting for the interpreter lock) leaves the verdict as it
+        was.
+        """
+        if wall >= sys.getswitchinterval():
+            self.waited = True
+        elif 2 * cpu >= wall:
+            self.waited = False
 
     def run(self, task):
         _fanning.drain = self
@@ -904,42 +921,18 @@ class _Drain:
 _fanning = threading.local()
 
 
-def reaching_endpoint():
-    """Tell the fan-out running on this thread, if any, that a call is about to reach an endpoint."""
-    drain = getattr(_fanning, "drain", None)
-    if drain is not None:
-        drain.grow()
-
-
-def endpoint_answered(wall, cpu):
-    """Tell the fan-out running on this thread, if any, how an endpoint call spent its time.
-
-    A call of at least one switch interval waited on its endpoint; a
-    shorter one that kept the CPU for half its ``wall`` seconds or more was
-    computed in-process. Anything else (a short socket wait, a call
-    stretched by waiting for the interpreter lock) leaves the verdict as it
-    was.
-    """
-    drain = getattr(_fanning, "drain", None)
-    if drain is not None:
-        if wall >= sys.getswitchinterval():
-            drain.waited = True
-        elif 2 * cpu >= wall:
-            drain.waited = False
-
-
 def fan_out(backend, fn, items):
     """Map ``fn`` over ``items`` in order on up to ``2 * backend.max_inflight`` workers.
 
     Items run on one worker thread while the cache answers every call they
     make, since more threads would only contend for the interpreter lock.
-    A call that reaches a wrapped backend (``reaching_endpoint``) while the
+    A call that reaches a wrapped backend (``CachingBackend._reach``) while the
     latest such call waited on its endpoint tops the workers up to twice
     ``max_inflight``: each worker spends part of every item away from the
     endpoint (rendering, parsing, the cache store, another role's call), so
     a second worker per slot has a request ready whenever a slot frees. The
     first call counts as one that waited. Once a call comes back computed
-    in-process (``endpoint_answered``), each worker that finishes an item
+    in-process (``_Drain.answered``), each worker that finishes an item
     leaves while another is still running, down to one. The backend's
     semaphore still caps the calls in flight at ``max_inflight``. Workers
     take items in order from one cursor and the caller only waits. Results

@@ -193,10 +193,14 @@ class Run:
         return path
 
     def instruction(self, subtask):
-        """The instruction that ``induce`` wrote for ``subtask``."""
+        """The instruction that ``induce`` wrote for ``subtask``; a file with no
+        non-blank text is a ``DatasetError``, never a cue to use the built-in one."""
         name = f"prompts/{subtask}.txt"
         path = self.read(name, self.config.workdir / name, "induce")
-        return path.read_text(encoding="utf-8").rstrip("\n")
+        text = path.read_text(encoding="utf-8").rstrip("\n")
+        if not text.strip():
+            raise DatasetError(f"{path} holds no instruction; run `tracedistill induce` again")
+        return text
 
     def retrieval(self):
         """The seed's cards and index, embedded anew each run (the cache makes that cheap)."""

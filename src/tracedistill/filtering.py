@@ -83,14 +83,13 @@ def structural_filter(record):
     )
 
 
-def build_reward_prompts(instance, hits, cards, instruction=None):
+def build_reward_prompts(instance, hits, cards, instruction=prompts.UCOT_INSTRUCTION):
     """Few-shot and zero-shot chat contexts for scoring one synthesized output.
 
     Both are the synthesis UCoT prompt with the same instruction text; only
     the few-shot one carries demonstrations. The response being scored is
     passed to the reward call separately.
     """
-    instruction = instruction or prompts.UCOT_INSTRUCTION
 
     def messages(demos):
         prompt = prompts.render_prompt("UCoT", instruction, demos, instance)
@@ -99,7 +98,7 @@ def build_reward_prompts(instance, hits, cards, instruction=None):
     return messages(prompts.demo_pairs_ucot(hits, cards)), messages([])
 
 
-def score_record(record, hits, cards, backend, instruction=None):
+def score_record(record, hits, cards, backend, instruction=prompts.UCOT_INSTRUCTION):
     """Reward the raw synthesized reasoning under both prompt variants."""
     response = record.ucot_raw
     few_messages, zero_messages = build_reward_prompts(
@@ -154,7 +153,7 @@ class FilterResult:
 
 
 def run_filter(records, index, cards, reward_backend, k=5,
-               threshold=0.0, instruction=None):
+               threshold=0.0, instruction=prompts.UCOT_INSTRUCTION):
     """Structural stage, reward stage, strategy subsets, audit trail.
 
     Reward calls happen only for structural survivors; scoring failures

@@ -154,20 +154,17 @@ def resolve_status(qp, trace):
     return STATUS_OK
 
 
-def synthesize(instance, index, cards, backend, qp_instruction=None,
-               ucot_instruction=None, k=5, params=None):
+def synthesize(instance, index, cards, backend, qp_instruction=prompts.QP_INSTRUCTION,
+               ucot_instruction=prompts.UCOT_INSTRUCTION, k=5, params=None):
     """Generate and parse QP + UCoT annotations for one question.
 
     ``cards`` maps each seed id to its demo cards (``prompts.seed_cards``).
     """
     params = params or GenParams()
     hits = top_k(index, instance.question, k, exclude={instance.id})
-    qp_prompt = prompts.render_prompt(
-        "QP", qp_instruction or prompts.QP_INSTRUCTION, demo_pairs_qp(hits, cards), instance
-    )
+    qp_prompt = prompts.render_prompt("QP", qp_instruction, demo_pairs_qp(hits, cards), instance)
     ucot_prompt = prompts.render_prompt(
-        "UCoT", ucot_instruction or prompts.UCOT_INSTRUCTION, demo_pairs_ucot(hits, cards),
-        instance,
+        "UCoT", ucot_instruction, demo_pairs_ucot(hits, cards), instance
     )
     qp_raw = backend.generate([ChatMessage(role="user", content=qp_prompt)], params)
     ucot_raw = backend.generate([ChatMessage(role="user", content=ucot_prompt)], params)
@@ -189,8 +186,8 @@ def synthesize(instance, index, cards, backend, qp_instruction=None,
     )
 
 
-def synthesize_batch(pool, index, cards, backend, qp_instruction=None,
-                     ucot_instruction=None, k=5, params=None):
+def synthesize_batch(pool, index, cards, backend, qp_instruction=prompts.QP_INSTRUCTION,
+                     ucot_instruction=prompts.UCOT_INSTRUCTION, k=5, params=None):
     """Synthesize a pool concurrently; returns (records sorted by id, errors), and
     raises ``BackendError`` when every question failed at the backend."""
 

@@ -703,6 +703,25 @@ def test_capability_error_propagates_uncached():
         backend.score_completion(_user("prompt"), "completion")
 
 
+def test_a_score_the_wrapped_backend_cannot_serve_takes_no_key_store_worker_or_slot(tmp_path):
+    profile = BackendProfile(kind="http", endpoint="https://example.test/v1", model="remote")
+    backend = CachingBackend(
+        HttpBackend(profile, transport=lambda url, payload: {}), cache_dir=tmp_path, max_inflight=4
+    )
+    threads = set()
+
+    def job(item):
+        threads.add(threading.get_ident())
+        with pytest.raises(CapabilityError, match="remote cannot score completions"):
+            backend.score_completion(_user(f"prompt {item}"), "completion")
+
+    fan_out(backend, job, range(40))
+    assert len(threads) == 1
+    assert backend.peak_inflight == 0
+    assert not (tmp_path / "calls.sqlite").exists()
+    assert (backend.cache_hits, backend.cache_misses) == (0, 0)
+
+
 def test_http_generate_parses_chat_response():
     profile = BackendProfile(kind="http", endpoint="https://example.test/v1", model="remote")
     calls = []
@@ -1344,11 +1363,7 @@ def test_a_finished_call_gives_back_its_slot_while_another_thread_runs_a_stateme
     try:
         assert db.entered.wait(timeout=10)
 
-        def use_a_slot():
-            with backend._slot():
-                pass
-
-        slot = threading.Thread(target=use_a_slot)
+        slot = threading.Thread(target=backend._reach, args=("generate", lambda: "x"))
         slot.start()
         slot.join(timeout=5)
         assert not slot.is_alive()

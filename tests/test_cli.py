@@ -548,6 +548,29 @@ def test_filter_requires_and_declares_the_induced_ucot_prompt(tmp_path, capsys):
     assert "induce" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("content", ["\n", " \t\n\n"], ids=["newline", "whitespace"])
+@pytest.mark.parametrize(
+    "command, subtask", [("synthesize", "QP"), ("synthesize", "UCoT"), ("filter", "UCoT")]
+)
+def test_a_blank_induced_prompt_exits_5_and_is_never_swapped_for_the_built_in_one(
+    tmp_path, capsys, command, subtask, content
+):
+    config = make_config(tmp_path)
+    workdir = tmp_path / "work"
+    assert main(["induce", "--config", str(config)]) == 0
+    if command == "filter":
+        assert main(["synthesize", "--config", str(config)]) == 0
+    path = workdir / "prompts" / f"{subtask}.txt"
+    path.write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 5
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DatasetError"
+    assert str(path) in err["message"]
+    assert "tracedistill induce" in err["message"]
+    assert not (workdir / "manifests" / f"{command}.json").exists()
+
+
 def test_null_chat_completion_is_a_backend_failure_and_never_cached(
     tmp_path, capsys, monkeypatch
 ):

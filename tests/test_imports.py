@@ -12,8 +12,10 @@ time and memory in every process. Only
 errors it expects, so an unexpected one reaches ``main`` with its own type
 and exit code. Only ``backends.fan_out`` builds a thread pool or thread,
 and only ``CachingBackend.__init__`` builds a semaphore. Only
-``CachingBackend._call`` tells a fan-out that a call reaches an endpoint
-and how that call spent its time, so the worker count follows one rule. Only
+``CachingBackend._reach``, the one gate between a cache miss and its
+endpoint, tells a fan-out that a call reaches an endpoint and how that call
+spent its time, and only it and ``_Drain.run`` touch the thread-local that
+finds a thread's fan-out, so the worker count follows one rule. Only
 ``cli.run_command`` opens a run's backends and writes its stats file and
 manifest, and only ``cli.Run.read`` raises ``MissingArtifactError``.
 Only ``corpus.read_records`` decodes JSON text into records, so every
@@ -241,29 +243,44 @@ def test_only_caching_backend_builds_semaphores():
     assert constructions_outside(SEMAPHORES, {("backends.py", "CachingBackend.__init__")}) == {}
 
 
-FAN_OUT_HOOKS = {"reaching_endpoint", "endpoint_answered"}
+FAN_OUT_FEEDS = {"grow", "answered"}
+FAN_OUT_GATE = ("backends.py", "CachingBackend._reach")
 
 
-def test_detector_finds_fan_out_hook_calls_by_method():
+def test_detector_finds_fan_out_feeds_and_thread_local_reads_by_method():
     source = (
+        "_fanning = threading.local()\n"
+        "class _Drain:\n"
+        "    def run(self):\n"
+        "        _fanning.drain = self\n"
         "class CachingBackend:\n"
-        "    def _call(self):\n"
-        "        reaching_endpoint()\n"
-        "        backends.endpoint_answered(0.1, 0.0)\n"
+        "    def _reach(self):\n"
+        "        drain = getattr(_fanning, 'drain', None)\n"
+        "        drain.grow()\n"
+        "        drain.answered(0.1, 0.0)\n"
         "def job(item):\n"
-        "    reaching_endpoint\n"
-        "    return endpoint_answered(1.0, 1.0)\n"
+        "    backends._fanning.drain.grow\n"
+        "    return answered(1.0, 1.0)\n"
     )
-    assert constructions(source, FAN_OUT_HOOKS) == [
-        ("CachingBackend._call", 3),
-        ("CachingBackend._call", 4),
-        ("job", 7),
+    assert constructions(source, FAN_OUT_FEEDS) == [
+        ("CachingBackend._reach", 8),
+        ("CachingBackend._reach", 9),
+        ("job", 12),
+    ]
+    assert references(source, {"_fanning"}) == [
+        ("_Drain.run", 4),
+        ("CachingBackend._reach", 7),
+        ("job", 11),
     ]
 
 
-def test_only_caching_backend_call_feeds_the_fan_out_hooks():
-    """The fan-out's worker count follows what endpoint calls do, as ``_call`` alone reports it."""
-    assert constructions_outside(FAN_OUT_HOOKS, {("backends.py", "CachingBackend._call")}) == {}
+def test_only_caching_backend_reach_feeds_the_fan_out():
+    """The fan-out's worker count follows what endpoint calls do, as ``_reach`` alone reports
+    it: only that gate grows a fan-out or gives it a verdict, and only it and the fan-out's
+    own tasks touch the thread-local that finds a thread's fan-out."""
+    assert constructions_outside(FAN_OUT_FEEDS, {FAN_OUT_GATE}) == {}
+    allowed = {FAN_OUT_GATE, ("backends.py", "_Drain.run")}
+    assert constructions_outside({"_fanning"}, allowed, find=references) == {}
 
 
 RUN_RECORDS = {"open_backends", "write_run_stats", "write_manifest"}
@@ -386,10 +403,13 @@ def test_only_small_files_are_read_whole():
 
 def references(source, names):
     """(enclosing function, line) of each mention of one of ``names``, bare or as an
-    attribute, called or passed on; a definition or an import is not a mention."""
+    attribute, called or passed on; a definition, an assignment to the bare name or an
+    import is not a mention."""
     found = []
     for function, node in nodes_by_function(source):
         name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            continue
         if isinstance(node, (ast.Name, ast.Attribute)) and name in names:
             found.append((function, node.lineno))
     return found
@@ -404,6 +424,7 @@ def test_detector_finds_references_called_or_not():
         "    return list(map(corpus.format_question, xs))\n"
         "def format_question(x):\n"
         "    return 'format_question'\n"
+        "format_question = None\n"
     )
     assert references(source, {"format_question"}) == [("_row", 3), ("f", 5)]
 
