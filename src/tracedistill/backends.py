@@ -22,16 +22,17 @@ package needs no array library for one 24-row scan per query.
 
 Mock response scheme (tests rely on this being stable):
 
-* ``generate`` keys on the last non-empty line of the rendered prompt:
-  "Question Parsing:" yields a JSON array of condition strings; "CoT
-  Steps:" yields a JSON array of {statement, evidence, verification}
-  objects (corrupted at ``malformed_rate``); "Statements:" yields a JSON
-  array of statements; "Evidence:" and "Verdicts:" yield arrays sized to
-  the last JSON array found in the prompt; "Instruction:" yields a
-  one-line induced instruction; a line ending in
+* ``generate`` keys on the prompt's output header (``prompts.output_header``,
+  its last non-blank line): "Question Parsing:" yields a JSON array of
+  condition strings; "CoT Steps:" yields a JSON array of {statement,
+  evidence, verification} objects (corrupted at ``malformed_rate``);
+  "Statements:" yields a JSON array of statements; "Evidence:" and
+  "Verdicts:" yield one entry per statement of the prompt's statements
+  block (``prompts.statement_count``), or 3 when it has none;
+  "Instruction:" yields a one-line induced instruction; a header ending in
   ``prompts.JUDGE_ANSWER_LINE`` yields one of "A"/"B"/"tie". Scripted
-  overrides match markers against that same last line; queued responses
-  are served FIFO before anything else.
+  overrides match markers against that same header; queued responses are
+  served FIFO before anything else.
 * ``score_completion`` charges each completion character a hash-derived
   cost in [0.02, 0.10] and returns the negated running sum clamped to
   [-100, 0], so extending a completion never raises its score.
@@ -205,36 +206,6 @@ def prompt_text(messages):
     return "\n\n".join(m.content for m in messages)
 
 
-def _last_line(text):
-    for line in reversed(text.splitlines()):
-        stripped = line.strip()
-        if stripped:
-            return stripped
-    return ""
-
-
-def _last_json_array(text):
-    """Return the last JSON array that decodes cleanly from the text, if any."""
-    decoder = json.JSONDecoder()
-    found = None
-    pos = 0
-    while True:
-        start = text.find("[", pos)
-        if start < 0:
-            break
-        try:
-            value, end = decoder.raw_decode(text, start)
-        except ValueError:
-            pos = start + 1
-            continue
-        if isinstance(value, list):
-            found = value
-            pos = end
-        else:
-            pos = start + 1
-    return found
-
-
 class Backend:
     """Interface; concrete backends override what they can serve."""
 
@@ -326,7 +297,7 @@ class MockBackend(Backend):
         _check_messages(messages)
         with self._track("generate"):
             text = prompt_text(messages)
-            last = _last_line(text)
+            last = prompts.output_header(text)
             with self._lock:
                 if self.queue:
                     return self.queue.pop(0)
@@ -352,13 +323,11 @@ class MockBackend(Backend):
             statements = [f"Statement {i + 1}: {self._phrase(digest, 10 + i)}" for i in range(n)]
             return json.dumps(statements, ensure_ascii=False)
         if prompts.OUTPUT_HEADERS["CV_evidence"] in last:
-            wanted = _last_json_array(text)
-            n = len(wanted) if wanted is not None else 3
+            n = prompts.statement_count(text, missing=3)
             evidence = [f"Evidence {i + 1}: {self._phrase(digest, 20 + i)}" for i in range(n)]
             return json.dumps(evidence, ensure_ascii=False)
         if prompts.OUTPUT_HEADERS["CV_verify"] in last:
-            wanted = _last_json_array(text)
-            n = len(wanted) if wanted is not None else 3
+            n = prompts.statement_count(text, missing=3)
             verdicts = [corpus.verification_str(self._sub(digest, 30 + i)[0] % 2) for i in range(n)]
             return json.dumps(verdicts, ensure_ascii=False)
         if prompts.INDUCTION_HEADER in last:
@@ -450,10 +419,6 @@ def build_reward_payload(model, context, response):
     return {"model": model, "messages": messages}
 
 
-def build_embed_payload(model, text):
-    return {"model": model, "input": [text]}
-
-
 class RequestsTransport:
     """POST JSON over HTTP with bearer-token auth from an env var.
 
@@ -542,8 +507,7 @@ class HttpBackend(Backend):
     def embed(self, text):
         if not text:
             raise ValueError("text must be non-empty")
-        payload = build_embed_payload(self.model, text)
-        resp = self._send("embed", "/embeddings", payload)
+        resp = self._send("embed", "/embeddings", {"model": self.model, "input": [text]})
         try:
             values = resp["data"][0]["embedding"]
             # float() takes a bool or numeric-string entry, as the parser always has

@@ -12,8 +12,8 @@ output:
 
 Each stage renders its prompt (`prompts.render_prompt`, which derives the
 input from the subtask) and sends it through `run_stage`: generate, extract
-the JSON array. The Parser and Decomposer reprompt once when they get no
-non-empty array of strings, and the evidence pass reprompts once when its
+the JSON array. The Parser and Decomposer send `prompts.reprompt` once when
+they get no non-empty array of strings, and the evidence pass once when its
 array does not have one entry per statement; the verify pass never
 reprompts. A retry that parses replaces the first answer, even when it is
 an empty array; the first answer stands only when the retry does not
@@ -46,11 +46,6 @@ STAGES = ("question_parsing", "cot_parsing", "evidence", "verify")
 BACKEND_FAILED = "backend_failed"
 
 log = logging.getLogger(__name__)
-
-REPROMPT_SUFFIX = (
-    "Your previous answer could not be used: {problem}. "
-    "Return only the JSON array requested, nothing else."
-)
 
 
 class CascadeError(Exception):
@@ -87,9 +82,9 @@ def run_stage(prompt, backend, params, problem=None):
     """Send one stage's prompt (`prompts.render_prompt`) and extract its JSON array.
 
     Returns (array or None, StageResult). When `problem(array)` names a
-    defect, the prompt is sent again with REPROMPT_SUFFIX and its last line,
-    the output header, appended; a retry that parses replaces the first
-    answer. A stage with no parsed answer is failed; callers may tighten that.
+    defect, `prompts.reprompt` is sent once: the prompt, the defect and its
+    output header again; a retry that parses replaces the first answer. A
+    stage with no parsed answer is failed; callers may tighten that.
     """
     stage = StageResult(started=time.monotonic())
     text, value = prompt, None
@@ -102,8 +97,7 @@ def run_stage(prompt, backend, params, problem=None):
         defect = problem(value) if problem is not None and attempt == 0 else None
         if not defect:
             break
-        header = prompt.rsplit("\n", 1)[-1]
-        text = "\n".join([prompt, "", REPROMPT_SUFFIX.format(problem=defect), header])
+        text = prompts.reprompt(prompt, defect)
     stage.failed = value is None
     stage.finished = time.monotonic()
     return value, stage

@@ -26,8 +26,10 @@ against one working directory are rejected: each holds an exclusive flock
 on <workdir>/.lock, which the kernel drops when its holder exits (POSIX only).
 Failures print a machine-readable JSON error on stderr and exit nonzero.
 Every dataset file is read through ``corpus.read_records``, so bad data
-exits 5 naming the file and line. A path the user names (``--pred``,
-``--gold``, ``--data``, the config's paths) that is not a file exits 2; a
+exits 5 naming the file and line. A path the user names exits 2, before
+any work, when it cannot serve: ``--pred``, ``--gold``, ``--data`` or the
+config's input paths that are not a file, an ``--out`` that is a directory
+or lies under a file, a ``paths.workdir`` that is a file or lies under one. A
 missing artifact of an earlier stage exits 3 and names that stage. Exit 6,
 with nothing written, when every pool question (synthesize), structural
 survivor (filter) or instance (infer) failed at the backend.
@@ -45,7 +47,7 @@ from pathlib import Path
 from . import __version__
 from .backends import CACHE_SCHEMA_VERSION, BackendError, CacheError, ConfigError
 from .cascade import BACKEND_FAILED, STAGES, CascadeError, CascadePipeline, write_predictions
-from .config import CONFIG_SCHEMA_VERSION, build_backends, load_config
+from .config import CONFIG_SCHEMA_VERSION, build_backends, load_config, output_path
 from .corpus import (
     SFT_HEADER,
     SUBTASKS,
@@ -316,7 +318,8 @@ def cmd_export(run):
 
 
 def cmd_infer(run):
-    config = run.config
+    config, out = run.config, run.args.out
+    out_path = output_path("--out", Path(out)) if out else config.workdir / "predictions.jsonl"
     instances = load_questions(run.read("pool", config.pool_path))
     missing_cot = [x.id for x in instances if not (x.cot or "").strip()]
     if missing_cot:
@@ -327,7 +330,6 @@ def cmd_infer(run):
     cards, index = run.retrieval()
     pipeline = CascadePipeline(run.backends, index, cards, k=config.k, params=config.params)
     results = pipeline.run_batch(instances)
-    out_path = Path(run.args.out) if run.args.out else config.workdir / "predictions.jsonl"
     write_predictions(out_path, results)
     backend_failed = sum(1 for r in results if BACKEND_FAILED in r.flags)
     flagged = sum(1 for r in results if r.flags)

@@ -92,6 +92,17 @@ def _parse_profile(role, raw):
         raise ConfigError(f"invalid backend profile {role!r}: {exc}") from exc
 
 
+def output_path(name, path, directory=False):
+    """``path`` as a file (or, with ``directory``, a directory) to write; a path of the
+    other kind, or one under a file, is a ``ConfigError`` naming ``name``."""
+    if path.exists() and path.is_dir() != directory:
+        raise ConfigError(f"{name} is {'not ' if directory else ''}a directory: {path}")
+    parent = next(p for p in path.absolute().parents if p.exists())
+    if not parent.is_dir():
+        raise ConfigError(f"{name} lies under a file: {parent}")
+    return path
+
+
 def load_config(path):
     path = Path(path)
     if not path.exists():
@@ -121,7 +132,7 @@ def load_config(path):
             raise ConfigError(f"paths.{key} must be a string, got {value!r}")
     seed_path = _resolve(base, paths["seed"])
     pool_path = _resolve(base, paths["pool"])
-    workdir = _resolve(base, paths["workdir"])
+    workdir = output_path("paths.workdir", _resolve(base, paths["workdir"]), directory=True)
     gold_path = _resolve(base, paths["gold"]) if paths.get("gold") else None
     for name, p in (("paths.seed", seed_path), ("paths.pool", pool_path)):
         if not p.exists():

@@ -1,11 +1,12 @@
-"""Instruction templates and the one place that turns data into prompt text.
+"""Instruction templates, and the one module that knows a prompt's text layout.
 
 Rendered prompts use ###Instruction### / ###Examples### / ###Input###
 section markers. `render_prompt` builds every subtask prompt from the
 subtask, an instruction, demonstration cards and the instance; the last
 line of every rendered prompt is the output header for the artifact being
-requested (e.g. "Question Parsing:"), which doubles as the template cue for
-the deterministic mock backend.
+requested (e.g. "Question Parsing:"). Only this module reads the layout back:
+`output_header` is the mock backend's template cue, `statement_count` sizes
+its Verifier answers, and `reprompt` builds the cascade's second try.
 
 The subtask alone decides what the input block shows (`_query`): the
 question with its choices; its CoT for UCoT and CP; the statements for both
@@ -136,6 +137,13 @@ JUDGE_INSTRUCTION = (
 
 JUDGE_ANSWER_LINE = "Answer with exactly one of: A, B, tie."
 
+REPROMPT_SUFFIX = (
+    "Your previous answer could not be used: {problem}. "
+    "Return only the JSON array requested, nothing else."
+)
+_STATEMENTS = "\n\nStatements:\n"  # the block `_query` writes for both Verifier passes
+_DECODER = json.JSONDecoder()
+
 
 def render_prompt(subtask, instruction, demos, instance, statements=None, evidence=None):
     """The full prompt for one subtask; its input block is ``_query``'s.
@@ -189,10 +197,31 @@ def _query(subtask, instance, statements=None, evidence=None):
     if subtask in ("UCoT", "CP"):
         text += _cot_suffix(instance)
     if subtask in ("CV_evidence", "CV_verify"):
-        text += f"\n\nStatements:\n{_dump(statements)}"
+        text += f"{_STATEMENTS}{_dump(statements)}"
     if subtask == "CV_verify":
         text += f"\n\nEvidence:\n{_dump(evidence)}"
     return text
+
+
+def output_header(prompt):
+    """A prompt's output header: its last non-blank line, stripped."""
+    return prompt.rstrip().rpartition("\n")[2].strip()
+
+
+def statement_count(prompt, missing=None):
+    """The length of the statements block ``_query`` writes for both Verifier passes, or
+    ``missing`` without one; ``_dump`` escapes every newline, so its label comes last."""
+    start = prompt.rfind(_STATEMENTS)
+    try:
+        value = _DECODER.raw_decode(prompt, start + len(_STATEMENTS))[0] if start >= 0 else None
+    except ValueError:
+        value = None
+    return len(value) if isinstance(value, list) else missing
+
+
+def reprompt(prompt, problem):
+    """``prompt``, a blank line, REPROMPT_SUFFIX naming ``problem``, its output header."""
+    return "\n".join([prompt, "", REPROMPT_SUFFIX.format(problem=problem), output_header(prompt)])
 
 
 def gold_output(example, subtask):

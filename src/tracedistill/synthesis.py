@@ -77,10 +77,6 @@ class SynthesizedRecord:
     failures: list[str] = field(default_factory=list)
 
 
-def _byte_offset(text, char_index):
-    return len(text[:char_index].encode("utf-8"))
-
-
 _DECODER = json.JSONDecoder()
 _OPENING = re.compile(r"[\[{]")
 
@@ -120,7 +116,7 @@ def _parse_array(raw, code, keys, expected, parse):
             return parse(value)
         except SchemaError as exc:
             message = str(exc)
-    return ParseFailure(code, _byte_offset(raw, start), message)
+    return ParseFailure(code, len(raw[:start].encode("utf-8")), message)  # a byte offset
 
 
 def parse_qp(raw):

@@ -36,7 +36,7 @@ from tracedistill.backends import (
 )
 from tracedistill.synthesis import parse_ucot, ParseFailure
 
-from conftest import GOLD_REWARD_ZERO, ROWID_CACHE_SETUP, cached_rows, inflated
+from conftest import GOLD_REWARD_ZERO, ROWID_CACHE_SETUP, cached_rows, inflated, make_example
 
 
 def _user(content):
@@ -93,10 +93,34 @@ def test_mock_templates_produce_parseable_structures():
     trace = parse_ucot(ucot_raw)
     assert not isinstance(trace, ParseFailure)
 
-    verdict_prompt = 'statements:\n["a", "b", "c"]\n\nVerdicts:'
-    verdicts = json.loads(backend.generate(_user(verdict_prompt), PARAMS))
-    assert len(verdicts) == 3
+    verdicts = json.loads(backend.generate(_user(_verifier_prompt("CV_verify", 5)), PARAMS))
+    assert len(verdicts) == 5
     assert all(v in ("True", "False") for v in verdicts)
+
+
+def _verifier_prompt(subtask, n):
+    instruction = {
+        "CV_evidence": prompts.CV_EVIDENCE_INSTRUCTION,
+        "CV_verify": prompts.CV_VERIFY_INSTRUCTION,
+    }[subtask]
+    shown = [f"Statement {i + 1} [{i}]" for i in range(n)]
+    return prompts.render_prompt(subtask, instruction, [], make_example("q").instance, shown, shown)
+
+
+@pytest.mark.parametrize("subtask", ["CV_evidence", "CV_verify"])
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_mock_sizes_verifier_answers_by_the_statements_block(subtask, n):
+    """One entry per statement the rendered prompt shows, an empty block included."""
+    prompt = _verifier_prompt(subtask, n)
+    assert prompts.statement_count(prompt) == n
+    assert len(json.loads(MockBackend().generate(_user(prompt), PARAMS))) == n
+
+
+@pytest.mark.parametrize("header", ["Evidence:", "Verdicts:"])
+def test_mock_answers_three_entries_when_a_verifier_prompt_has_no_statements_block(header):
+    prompt = f'statements:\n["a", "b"]\n\nEvidence:\n["x"]\n\n{header}'
+    assert prompts.statement_count(prompt) is None
+    assert len(json.loads(MockBackend().generate(_user(prompt), PARAMS))) == 3
 
 
 def test_mock_malformed_rate_one_always_unparseable():

@@ -448,6 +448,47 @@ def test_infer_out_spelled_as_an_absolute_path_into_the_workdir_is_in_the_manife
     assert outputs == {"custom_preds.jsonl": hashlib.sha256(out.read_bytes()).hexdigest()}
 
 
+@pytest.mark.parametrize(
+    "command, workdir, out, named",
+    [
+        ("induce", "seed.jsonl", None, "paths.workdir"),
+        ("induce", "seed.jsonl/work", None, "paths.workdir"),
+        ("infer", "work", "outdir", "--out"),
+        ("infer", "work", "seed.jsonl/preds.jsonl", "--out"),
+    ],
+    ids=["workdir-is-a-file", "workdir-under-a-file", "out-is-a-directory", "out-under-a-file"],
+)
+def test_an_output_path_that_cannot_be_written_exits_2_before_any_backend_call(
+    tmp_path, monkeypatch, capsys, command, workdir, out, named
+):
+    """A path the user names to write to is checked before any work: exit 2 naming
+    it, no endpoint call, and neither a stats file nor a manifest."""
+    calls = Counter()
+    track = backends_module.MockBackend._track
+
+    def counting(self, op):
+        calls[op] += 1
+        return track(self, op)
+
+    monkeypatch.setattr(backends_module.MockBackend, "_track", counting)
+    paths = {"seed": "seed.jsonl", "pool": "pool.jsonl", "workdir": workdir, "gold": "gold.jsonl"}
+    make_config(tmp_path, overrides={"paths": paths})
+    (tmp_path / "outdir").mkdir()
+    seed = (tmp_path / "seed.jsonl").read_bytes()
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", "config.json"] + (["--out", out] if out else [])
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert named in err["message"]
+    assert calls == {}
+    assert (tmp_path / "seed.jsonl").read_bytes() == seed
+    assert list((tmp_path / "outdir").iterdir()) == []
+    assert not (tmp_path / "work" / "logs").exists()
+    assert not (tmp_path / "work" / "manifests").exists()
+
+
 def test_infer_rejects_pool_without_cot(tmp_path, capsys):
     config = make_config(tmp_path)
     pool_rows = []

@@ -30,6 +30,11 @@ benchmark tracer stops naming it.
 ``indent`` makes the encoder build its text in pure Python, several times
 slower than the C string encoder that ``_dump`` joins for the statement and
 evidence lists of every Verifier prompt.
+``raw_decode``, which finds JSON inside a longer text, is named only by
+``synthesis.extract_json``, the one scan of model output, and by
+``prompts.statement_count``, which reads back the one statements block
+``prompts._query`` wrote: ``prompts`` alone knows a prompt's layout, so
+the mock backend and the cascade read prompts through it, not by scanning.
 No file is held whole in memory beside what is built from it: dataset
 files are read a line at a time (``corpus.read_records``) and hashed 64 KiB
 at a time (``corpus.sha256_file``). ``read_bytes``, ``read_text`` and a
@@ -317,7 +322,8 @@ def test_detector_finds_raises_by_exception_name():
     assert raises(source, {"MissingArtifactError"}) == [("Run.read", 3), ("f", 5), (None, 8)]
 
 
-# every other JSON text the package decodes is model output, through synthesis.extract_json
+# every other JSON text the package decodes is model output, through synthesis.extract_json,
+# or the statements block of a Verifier prompt, through prompts.statement_count
 JSON_TEXT_READERS = {
     ("corpus.py", "read_records"),
     ("config.py", "load_config"),
@@ -328,6 +334,15 @@ JSON_TEXT_READERS = {
 def test_only_read_records_decodes_dataset_json():
     """One reader holds the dataset file rule: no module decodes a JSON file of its own."""
     assert constructions_outside({"loads", "load"}, JSON_TEXT_READERS) == {}
+
+
+# the functions that may decode JSON out of a longer text; the reason is in the module docstring
+JSON_SCANNERS = {("synthesis.py", "extract_json"), ("prompts.py", "statement_count")}
+
+
+def test_only_extract_json_and_the_statements_reader_scan_text_for_json():
+    """Model output is searched for JSON in one place, and a prompt's layout is read in one."""
+    assert constructions_outside({"raw_decode"}, JSON_SCANNERS, find=references) == {}
 
 
 def test_detector_finds_calls_by_keyword():
@@ -427,6 +442,17 @@ def test_detector_finds_references_called_or_not():
         "format_question = None\n"
     )
     assert references(source, {"format_question"}) == [("_row", 3), ("f", 5)]
+    source = (
+        "_DECODER = json.JSONDecoder()\n"
+        "def extract_json(raw, i):\n"
+        "    return _DECODER.raw_decode(raw, i)\n"
+        "class MockBackend:\n"
+        "    def _templated(self, text):\n"
+        "        scan = json.JSONDecoder().raw_decode\n"
+        "        return scan(text)\n"
+    )
+    found = references(source, {"raw_decode"})
+    assert found == [("extract_json", 3), ("MockBackend._templated", 6)]
 
 
 # the functions that may show a question; the reason is in the module docstring

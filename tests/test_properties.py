@@ -7,7 +7,10 @@ so every input must end in a value or a `ParseFailure`;
 `indent=2` does, on its fast path for lists of strings and off it. Eval's
 exact matching (`normalize_text`, `match_sets`, `match_steps`) counts what
 a `str.translate` normaliser and `Counter` intersections count, under every
-policy.
+policy. `prompts.output_header` and `prompts.statement_count` read back
+what `render_prompt` and `reprompt` wrote, whatever the question and
+statements hold, and `MockBackend` answers a Verifier prompt with one entry
+per statement.
 """
 
 import itertools
@@ -19,7 +22,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tracedistill.corpus import ReasoningTrace, SchemaError, canonicalize_verification
+from tracedistill import prompts
+from tracedistill.backends import ChatMessage, GenParams, MockBackend
+from tracedistill.corpus import (
+    QuestionInstance,
+    ReasoningTrace,
+    SchemaError,
+    canonicalize_verification,
+)
 from tracedistill.evalharness import MatchPolicy, match_sets, match_steps, normalize_text
 from tracedistill.prompts import _dump
 from tracedistill.synthesis import ParseFailure, extract_json, parse_qp, parse_ucot
@@ -54,6 +64,47 @@ RAW = st.one_of(
 )
 
 SETTINGS = settings(max_examples=200, deadline=None)
+
+# prompt text that could mislead a reader of the layout: brackets, quotes, newlines,
+# characters outside the BMP and the statements block's own label
+PROMPT_TEXT = st.lists(
+    st.one_of(
+        st.text(st.characters(codec="utf-8"), max_size=6),
+        st.sampled_from(["[", "]", '"', "\n", "\n\nStatements:\n", '["a", "b"]', "\U0001f9e9"]),
+    ),
+    max_size=6,
+).map("".join)
+INSTRUCTIONS = {
+    "QP": prompts.QP_INSTRUCTION,
+    "UCoT": prompts.UCOT_INSTRUCTION,
+    "CP": prompts.CP_INSTRUCTION,
+    "CV_evidence": prompts.CV_EVIDENCE_INSTRUCTION,
+    "CV_verify": prompts.CV_VERIFY_INSTRUCTION,
+}
+
+
+@SETTINGS
+@given(
+    question=PROMPT_TEXT,
+    cot=PROMPT_TEXT,
+    demo=st.tuples(PROMPT_TEXT, PROMPT_TEXT),
+    steps=st.lists(st.tuples(PROMPT_TEXT, PROMPT_TEXT), min_size=1, max_size=8),
+)
+def test_prompt_readers_and_the_mock_read_back_what_was_rendered(question, cot, demo, steps):
+    instance = QuestionInstance("q", question, ["[A]", "Statements:"], "A", cot or None)
+    statements = [statement for statement, _ in steps]
+    evidence = [found for _, found in steps]
+    backend = MockBackend()
+    for subtask, instruction in INSTRUCTIONS.items():
+        prompt = prompts.render_prompt(subtask, instruction, [demo], instance, statements, evidence)
+        retry = prompts.reprompt(prompt, f"expected exactly {len(steps)} evidence strings")
+        for text in (prompt, retry):
+            assert prompts.output_header(text) == text.rsplit("\n", 1)[-1]
+            assert prompts.output_header(text) == prompts.OUTPUT_HEADERS[subtask]
+            if subtask in ("CV_evidence", "CV_verify"):
+                assert prompts.statement_count(text) == len(statements)
+                answer = backend.generate([ChatMessage("user", text)], GenParams())
+                assert len(json.loads(answer)) == len(statements)
 
 
 @SETTINGS
